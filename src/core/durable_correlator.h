@@ -84,6 +84,12 @@ class DurableCorrelator : public ReferenceSink {
   void OnFileRenamed(PathId from, PathId to, Time time) override;
   void OnFileExcluded(PathId path) override;
 
+  // Applies every event still waiting in the ingest batcher to the
+  // correlator (measure + fold) on the calling thread. A server calls it
+  // once per delivered frame, so the fold runs where the frame was decoded
+  // rather than at whichever later read would otherwise flush.
+  void FlushIngest() { batcher_.Flush(); }
+
   // Reading the correlator flushes the ingest batcher first, so callers
   // always see every event delivered to the sink applied.
   Correlator& correlator() {
@@ -149,10 +155,11 @@ class DurableCorrelator : public ReferenceSink {
   std::unique_ptr<Correlator> correlator_;
   // Events are WAL-appended eagerly (one per sink call, order preserved)
   // but applied to the correlator in batches through the sharded ingest
-  // pipeline; Checkpoint() and the correlator() accessors flush first, so
-  // batch boundaries always align with WAL checkpoints and recovery's
-  // serial replay reproduces the batched state exactly (the pipelines are
-  // bit-equivalent). Mutable: a const read must still be able to flush.
+  // pipeline; FlushIngest(), Checkpoint() and the correlator() accessors
+  // apply the pending batch first, so batch boundaries always align with
+  // WAL checkpoints and recovery's serial replay reproduces the batched
+  // state exactly (the pipelines are bit-equivalent). Mutable: a const
+  // read must still be able to flush.
   mutable IngestBatcher batcher_;
   std::unique_ptr<WalWriter> wal_;
   uint64_t generation_ = 0;

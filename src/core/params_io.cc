@@ -31,6 +31,14 @@ bool ParseNum(std::string_view value, T* out) {
   return ec == std::errc() && ptr == value.data() + value.size();
 }
 
+// Upper bound on `n`. The relation slab reserves n neighbor slots of ~48 B
+// for every tracked file, and a store's own params seed its slab on
+// restore, so an unchecked n from a params file, a kParamsSet verb or a
+// snapshot's PRMS section sizes the first allocation at files x n slots and
+// can exhaust the server's memory. The paper's n = 20 is its ~1 KB per file
+// (Section 5.3); 256 leaves room for tuning sweeps at ~12 KB per file.
+constexpr int kMaxNeighbors = 256;
+
 Status Fail(int line_number, const std::string& message) {
   std::ostringstream out;
   out << "line " << line_number << ": " << message;
@@ -57,7 +65,8 @@ StatusOr<SeerParams> ParseSeerParams(std::string_view text, const SeerParams& ba
 
     bool ok = true;
     if (key == "n") {
-      ok = ParseNum(value, &params.max_neighbors) && params.max_neighbors > 0;
+      ok = ParseNum(value, &params.max_neighbors) && params.max_neighbors > 0 &&
+           params.max_neighbors <= kMaxNeighbors;
     } else if (key == "M") {
       ok = ParseNum(value, &params.distance_horizon) && params.distance_horizon > 0;
     } else if (key == "kn") {

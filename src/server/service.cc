@@ -177,12 +177,17 @@ wire::ControlResponse HoardService::Dispatch(const wire::ControlRequest& request
   return response;
 }
 
-void HoardService::DeliverToLane(TenantLane* lane, Connection* c, Shard* shard) {
+void HoardService::DeliverToLane(TenantId tenant, TenantLane* lane, Connection* c,
+                                 Shard* shard) {
   const std::vector<InternedEvent>& events = shard->arena.events();
   Observer* observer = lane->observer.get();
   for (const InternedEvent& event : events) {
     observer->OnInternedEvent(event);
   }
+  // Apply the frame here, on the shard that decoded it: measure and fold
+  // run in parallel across shards instead of queueing for the next
+  // exclusive Tick or checkpoint to flush them on shard 0.
+  router_.FlushIngest(tenant);
   events_ingested_.fetch_add(events.size(), std::memory_order_relaxed);
   if (config_.record_merge_log && !events.empty()) {
     lane->merge_log.push_back({c->id, events.front().seq, static_cast<uint32_t>(events.size())});
@@ -205,7 +210,7 @@ bool HoardService::DeliverEvents(Shard* shard, Connection* c, TenantId tenant,
     TenantLane* lane = FindLane(tenant);
     if (lane != nullptr && router_.TenantResident(tenant)) {
       std::lock_guard<std::mutex> lock(lane->mu);
-      DeliverToLane(lane, c, shard);
+      DeliverToLane(tenant, lane, c, shard);
       return true;
     }
   }
@@ -215,7 +220,7 @@ bool HoardService::DeliverEvents(Shard* shard, Connection* c, TenantId tenant,
   std::unique_lock<std::shared_mutex> plane(plane_mu_);
   TenantLane* lane = EnsureLane(tenant);
   std::lock_guard<std::mutex> lock(lane->mu);
-  DeliverToLane(lane, c, shard);
+  DeliverToLane(tenant, lane, c, shard);
   return true;
 }
 

@@ -24,22 +24,26 @@
 //     single-threaded control plane is therefore preserved by
 //     construction — with one audited exception, documented in
 //     tenant_router.h and enforced here by a plane-wide shared_mutex:
-//     event delivery to an already-resident tenant runs under the
-//     shared side (concurrently across shards, serialized per tenant by
-//     a lane mutex), while anything that can create, restore, or evict
-//     a tenant — first delivery, control verbs, Tick, shutdown — takes
-//     the exclusive side.
+//     event delivery to an already-resident tenant, fold included, runs
+//     under the shared side (concurrently across shards, serialized per
+//     tenant by a lane mutex), while anything that can create, restore,
+//     or evict a tenant — first delivery, control verbs, Tick, shutdown —
+//     takes the exclusive side.
 //
 // Data plane: kEvents frames are decoded near-zero-copy. A frame's
 // payload is parsed straight out of the connection's read buffer
 // (FrameDecoder::NextView) into the shard's reusable wire::EventArena —
 // no per-frame payload string, no per-event path strings; each distinct
 // path is interned into GlobalPaths() once, at its dictionary
-// definition. Decoded events pass through the tenant's own Observer and
-// into SinkFor(tenant), whose DurableCorrelator coalesces them through
-// its IngestBatcher so wire ingest rides the stripe-sharded relation
-// fold. Responses are batched per read burst and flushed with one
-// gathered write (net::WriteVec).
+// definition. Decoded events pass through the tenant's own Observer into
+// SinkFor(tenant), whose DurableCorrelator appends them to the WAL and
+// queues them in its ingest batch; the shard then applies that batch
+// (measure + fold) itself via TenantRouter::FlushIngest before it lets go
+// of the tenant's lane. So each frame is applied on the shard that decoded
+// it, in parallel with the other shards' tenants, and Tick, checkpoints
+// and control verbs on shard 0 find the batches empty. Responses are
+// batched per read burst and flushed with one gathered write
+// (net::WriteVec).
 //
 // Backpressure is unchanged: frames dispatch synchronously on the owning
 // shard, so a slow tenant stalls only that shard's read loop for that
@@ -91,8 +95,9 @@ struct HoardServiceConfig {
   // Undecoded bytes a connection may buffer before the service stops
   // reading it (per-connection backpressure; must admit one max frame).
   size_t conn_buffer_limit = wire::kMaxFramePayload + wire::kFrameHeaderSize;
-  // poll() timeout — the idle heartbeat driving router Tick cadence and
-  // the stop-flag observation latency on every shard.
+  // poll() timeout on every shard. Shard 0 runs router Tick after each
+  // loop pass, so this bounds how long an idle server goes between Ticks;
+  // it is also how soon a shard notices the stop flag.
   int poll_interval_ms = 100;
   // Microsecond clock for Tick; null selects the monotonic clock. Tests
   // inject a fake so checkpoint scheduling is reproducible.
@@ -216,8 +221,9 @@ class HoardService {
   void ProcessFrames(Shard* shard, Connection* c);
   // One kEvents frame. False on protocol error (caller closes `c`).
   bool DeliverEvents(Shard* shard, Connection* c, TenantId tenant, std::string_view payload);
-  // Events -> observer under the lane mutex (plane lock already held).
-  void DeliverToLane(TenantLane* lane, Connection* c, Shard* shard);
+  // Events -> observer -> the tenant's ingest batch, then the batch is
+  // folded, all under the lane mutex (plane lock already held).
+  void DeliverToLane(TenantId tenant, TenantLane* lane, Connection* c, Shard* shard);
   // Control verb execution; takes the exclusive plane lock. Runs on
   // shard 0 (or inline when io_threads == 1).
   wire::ControlResponse Dispatch(const wire::ControlRequest& request);

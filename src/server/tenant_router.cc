@@ -51,7 +51,15 @@ StatusOr<Correlator*> TenantRouter::CorrelatorFor(TenantId tenant) {
   if (t == nullptr) {
     return last_error_;
   }
+  t->changed = true;  // the caller may mutate through the pointer
   return &t->durable->correlator();
+}
+
+void TenantRouter::FlushIngest(TenantId tenant) {
+  Tenant* t = FindTenant(tenant);
+  if (t != nullptr && t->durable != nullptr) {
+    t->durable->FlushIngest();
+  }
 }
 
 ReferenceSink* TenantRouter::Route(TenantId tenant) {
@@ -61,6 +69,7 @@ ReferenceSink* TenantRouter::Route(TenantId tenant) {
   }
   t->last_touch_seq.store(touch_seq_.fetch_add(1, std::memory_order_relaxed) + 1,
                           std::memory_order_relaxed);
+  t->changed = true;
   return t->durable.get();
 }
 
@@ -150,6 +159,7 @@ Status TenantRouter::Restore(Tenant* t) {
   t->checkpoint_inflight = false;
   t->durable_generation = t->durable->generation();
   t->last_files = t->durable->correlator().files().size();
+  t->changed = true;
   return Status::Ok();
 }
 
@@ -160,6 +170,7 @@ std::string TenantRouter::ParamsPath(TenantId tenant) const {
 Status TenantRouter::PersistTenantMeta(Tenant* t) {
   t->durable_generation = t->durable->generation();
   t->last_files = t->durable->correlator().files().size();
+  t->changed = true;  // the finished checkpoint trimmed the stream removal log
   return WriteTenantAux(fs_, SnapshotStore::TenantDirectory(root_, t->id), t->manager,
                         t->miss_log);
 }
@@ -183,6 +194,7 @@ Status TenantRouter::SetTenantParams(TenantId tenant, const std::string& text) {
   Tenant* t = FindTenant(tenant);
   if (t != nullptr && t->durable != nullptr) {
     t->durable->correlator().OverrideTuningParams(effective);
+    t->changed = true;
   }
   return Status::Ok();
 }
@@ -330,9 +342,13 @@ void TenantRouter::RefreshResidentBytes() {
     if (t.durable == nullptr) {
       continue;
     }
-    t.memory_bytes = t.durable->correlator().MemoryBytes();
-    t.durable_generation = t.durable->generation();
-    t.last_files = t.durable->correlator().files().size();
+    if (t.changed) {
+      t.changed = false;
+      const Correlator& correlator = t.durable->correlator();
+      t.memory_bytes = correlator.MemoryBytes();
+      t.durable_generation = t.durable->generation();
+      t.last_files = correlator.files().size();
+    }
     total += t.memory_bytes;
   }
   resident_bytes_ = total;
@@ -408,6 +424,7 @@ Status TenantRouter::Tick(Time now) {
               .count());
       t.refill_us_total += t.last_refill_us;
       t.last_refill = now;
+      t.changed = true;  // investigators add relations
       ++t.refills;
       ++refilled;
     }

@@ -41,18 +41,23 @@
 // the sharded transport (service.h) relies on, under external locking:
 //
 //   Holding a shared (reader) lock that excludes every other router
-//   method, multiple threads may concurrently (a) call TenantResident()
-//   and (b) deliver sink callbacks to *distinct already-resident*
-//   tenants — provided each tenant's callbacks are additionally
-//   serialized by a per-tenant lock. This is sound because a routed
-//   callback on a resident tenant mutates only that tenant's own state
-//   plus the LRU clock, which is atomic (touch_seq_/last_touch_seq are
-//   relaxed atomics; the eviction scan tolerates torn ordering), and
-//   because tenants_ map nodes are pointer-stable and no method that
-//   inserts, restores, or evicts runs while the shared lock is held.
-//   Anything that might create/restore/evict a tenant — SinkFor on a new
-//   id, first delivery to a non-resident tenant, Tick, control verbs,
-//   Shutdown — must hold the exclusive side of that lock.
+//   method, multiple threads may concurrently (a) call TenantResident(),
+//   (b) deliver sink callbacks to *distinct already-resident* tenants,
+//   and (c) call FlushIngest() on those same tenants — provided each
+//   tenant's callbacks and flushes are additionally serialized by a
+//   per-tenant lock. So delivery under the shared side also folds:
+//   distinct tenants measure and fold their batches concurrently, each on
+//   the thread that delivered it, sharing the router's pool (whose
+//   contended dispatches run inline). This is sound because a routed
+//   callback or a flush on a resident tenant mutates only that tenant's
+//   own state (correlator, WAL, batcher, its accounting mark) plus the LRU
+//   clock, which is atomic (touch_seq_/last_touch_seq are relaxed
+//   atomics; the eviction scan tolerates torn ordering), and because
+//   tenants_ map nodes are pointer-stable and no method that inserts,
+//   restores, or evicts runs while the shared lock is held. Anything that
+//   might create/restore/evict a tenant — SinkFor on a new id, first
+//   delivery to a non-resident tenant, Tick, control verbs, Shutdown —
+//   must hold the exclusive side of that lock.
 #ifndef SRC_SERVER_TENANT_ROUTER_H_
 #define SRC_SERVER_TENANT_ROUTER_H_
 
@@ -151,8 +156,18 @@ class TenantRouter {
   // last_error().
   ReferenceSink* SinkFor(TenantId tenant);
 
-  // The tenant's live correlator, creating/restoring it if needed.
+  // The tenant's live correlator, creating/restoring it if needed. Marks
+  // the tenant for the next residency pass, which accounts for whatever
+  // the caller changes through the pointer before that pass; a caller
+  // that keeps mutating across Ticks calls this again.
   StatusOr<Correlator*> CorrelatorFor(TenantId tenant);
+
+  // Applies the tenant's pending ingest batch (measure + fold) on the
+  // calling thread. A no-op for unknown or evicted tenants. The sharded
+  // transport calls it after every delivered frame, under the threading
+  // exception above, so the fold runs on the I/O shard that decoded the
+  // frame and Tick, checkpoints and control verbs find the batch empty.
+  void FlushIngest(TenantId tenant);
 
   // Control-plane heartbeat; call from the transport's idle loop. Runs
   // the checkpoint scheduler, due hoard refills, and the eviction pass.
@@ -209,7 +224,8 @@ class TenantRouter {
 
   size_t resident_tenants() const;
   // Sum of resident correlators' MemoryBytes() as of the last Tick or
-  // eviction pass (recomputing per call would flush every batcher).
+  // eviction pass. MemoryBytes() walks every file of a tenant, so a pass
+  // recomputes it only for tenants changed since the previous pass.
   uint64_t resident_bytes() const { return resident_bytes_; }
 
   // --- fleet counters ----------------------------------------------------
@@ -258,6 +274,13 @@ class TenantRouter {
     // evicted store.
     uint64_t durable_generation = 0;
     uint64_t last_files = 0;
+    // Set by every path that can change the correlator (routed callbacks,
+    // CorrelatorFor, refills, checkpoints, restore, params); the residency
+    // pass refreshes memory_bytes, last_files and durable_generation only
+    // for marked tenants. Routed callbacks set it under the shared
+    // external lock, serialized per tenant; the pass reads and clears it
+    // under the exclusive side.
+    bool changed = true;
     bool aux_loaded = false;  // pins/misses recovered from the store once
     bool checkpoint_inflight = false;
     uint64_t checkpoints = 0;
@@ -280,6 +303,8 @@ class TenantRouter {
   void RecordSealStall(uint64_t micros);
   Status EvictLocked(Tenant* t);
   Time StaggerPhase(TenantId tenant) const;
+  // Refreshes the accounting of tenants marked `changed` and re-sums
+  // resident_bytes_.
   void RefreshResidentBytes();
   // Refreshes the eviction-surviving stats caches and rewrites the aux
   // section; called after every successful checkpoint.

@@ -159,6 +159,20 @@ TEST(ParamsIo, RejectsUnknownKeyAndBadValues) {
   EXPECT_FALSE(ParseSeerParams("distance psychic\n").has_value());
 }
 
+// n sizes the relation slab at files x n slots, so an unbounded n from a
+// params file, a kParamsSet verb or a snapshot could ask for ~96 GB on the
+// first folded reference. The parser caps it at 256 neighbors.
+TEST(ParamsIo, RejectsNeighborCountsThatWouldExhaustMemory) {
+  const auto huge = ParseSeerParams("n 2000000000\n");
+  ASSERT_FALSE(huge.has_value());
+  EXPECT_EQ(StatusCode::kInvalidArgument, huge.status().code());
+  EXPECT_NE(huge.status().message().find("'n'"), std::string::npos);
+  EXPECT_FALSE(ParseSeerParams("n 257\n").has_value());
+  const auto largest = ParseSeerParams("n 256\n");
+  ASSERT_TRUE(largest.has_value());
+  EXPECT_EQ(256, largest->max_neighbors);
+}
+
 TEST(ParamsIo, FormatRoundTrips) {
   SeerParams params;
   params.max_neighbors = 33;

@@ -448,6 +448,105 @@ TEST(TenantRouter, TickSurvivesPersistentEvictionFailure) {
   EXPECT_EQ(router.resident_bytes(), sum);
 }
 
+// Tick recomputes a tenant's MemoryBytes(), file count and generation
+// only when something marked the tenant changed since the previous pass.
+// After every kind of mutation, the cached accounting must still equal a
+// fresh reading of every resident tenant.
+TEST(TenantRouter, MemoryAccountingExactAfterEveryMutation) {
+  constexpr size_t kTenants = 3;
+  MemFs fs;
+  TenantRouterConfig config = BaseConfig(2);
+  config.hoard_budget_bytes = 1 << 20;
+  config.hoard_interval = 100 * kMicrosPerSecond;
+  config.size_of = [](PathId) -> uint64_t { return 4096; };
+  TenantRouter router(&fs, "/srv", config);
+
+  std::vector<std::vector<IngestEvent>> traces;
+  for (size_t t = 0; t < kTenants; ++t) {
+    traces.push_back(TenantTrace(0xACC0 + static_cast<uint32_t>(t), 300));
+  }
+  Time now = kMicrosPerSecond;
+  const auto tick_and_check = [&](const std::string& step) {
+    ASSERT_TRUE(router.Tick(now).ok()) << step;
+    uint64_t sum = 0;
+    for (const TenantId id : router.ListTenants()) {
+      const auto stats = router.Stats(id);
+      ASSERT_TRUE(stats.ok()) << step;
+      if (!stats->resident) {
+        EXPECT_EQ(0u, stats->memory_bytes) << step << " tenant=" << id;
+        continue;
+      }
+      const auto correlator = router.CorrelatorFor(id);
+      ASSERT_TRUE(correlator.ok()) << step;
+      EXPECT_EQ((*correlator)->MemoryBytes(), stats->memory_bytes) << step << " tenant=" << id;
+      EXPECT_EQ((*correlator)->files().size(), stats->files) << step << " tenant=" << id;
+      sum += stats->memory_bytes;
+    }
+    EXPECT_EQ(sum, router.resident_bytes()) << step;
+    // The reads above marked every tenant; settle those marks so the next
+    // mutation is the only thing that can mark its tenant.
+    ASSERT_TRUE(router.Tick(now).ok()) << step;
+  };
+  const auto files_of = [&](TenantId id) {
+    const auto stats = router.Stats(id);
+    return stats.ok() ? stats->files : 0;
+  };
+
+  // First delivery creates each tenant; later routed callbacks reach
+  // settled tenants, and their events sit in the batcher until the pass
+  // reads the correlator.
+  Interleave(&router, traces, 0xACC);
+  tick_and_check("first delivery");
+  const uint64_t routed_before = files_of(2);
+  for (size_t t = 0; t < kTenants; ++t) {
+    ApplySerial(router.SinkFor(static_cast<TenantId>(t + 1)),
+                {RefEvent(1, RefKind::kPoint, "/acct/routed0", now),
+                 RefEvent(1, RefKind::kPoint, "/acct/routed1", now + 1)});
+  }
+  tick_and_check("routed callbacks");
+  EXPECT_EQ(routed_before + 2, files_of(2));
+
+  // Investigated relations intern files without appending to the WAL.
+  const uint64_t files_before = files_of(1);
+  {
+    const auto correlator = router.CorrelatorFor(1);
+    ASSERT_TRUE(correlator.ok());
+    InvestigatedRelation rel;
+    rel.files = {"/acct/new0", "/acct/new1", "/acct/new2"};
+    rel.strength = 50.0;
+    (*correlator)->AddInvestigatedRelation(rel);
+  }
+  tick_and_check("CorrelatorFor + AddInvestigatedRelation");
+  EXPECT_EQ(files_before + 3, files_of(1));
+
+  // A refill (every tenant is due once the hoard interval passes).
+  now += config.hoard_interval;
+  tick_and_check("refill");
+  for (const TenantId id : router.ListTenants()) {
+    EXPECT_GE(router.Stats(id)->refills, 2u) << "tenant=" << id;
+  }
+
+  // A checkpoint harvest: a Tick past every staggered due time begins
+  // checkpoints (up to the in-flight budget), draining harvests them.
+  now += config.checkpoint_interval;
+  ASSERT_TRUE(router.Tick(now).ok());
+  ASSERT_TRUE(router.DrainCheckpoints().ok());
+  EXPECT_GT(router.checkpoints_harvested(), 0u);
+  tick_and_check("checkpoint harvest");
+
+  // Evict, then restore through a routed callback.
+  ASSERT_TRUE(router.EvictTenant(2).ok());
+  tick_and_check("evict");
+  ApplySerial(router.SinkFor(2), {RefEvent(1, RefKind::kPoint, "/acct/back", now)});
+  tick_and_check("restore");
+  EXPECT_TRUE(router.Stats(2)->resident);
+
+  // Live params override.
+  ASSERT_TRUE(router.SetTenantParams(3, "aging-updates 7\n").ok());
+  tick_and_check("SetTenantParams");
+  ASSERT_TRUE(router.last_error().ok()) << router.last_error().message();
+}
+
 TEST(TenantRouter, SinkAddressStableAcrossEviction) {
   MemFs fs;
   TenantRouter router(&fs, "/srv", BaseConfig(2));

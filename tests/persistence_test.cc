@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include "src/core/correlator.h"
+#include "src/core/params_io.h"
 #include "tests/snapshot_reframe.h"
 
 namespace seer {
 namespace {
 
 using snapshot_internal::kTagFiles;
+using snapshot_internal::kTagParams;
 using snapshot_internal::kTagPaths;
 using snapshot_internal::kTagStreams;
 using snapshot_internal::kTagStripe;
@@ -248,6 +250,33 @@ TEST(Persistence, ImplausibleCountsAreDataLoss) {
         });
     ExpectDataLoss(crafted, c.name);
   }
+}
+
+// A CRC-valid PRMS section whose n would size the relation slab at
+// files x 2e9 slots must be rejected by the params parser, before the
+// decoder builds a correlator from it: a tenant restoring such a store
+// would otherwise abort the whole server with std::bad_alloc.
+TEST(Persistence, HugeNeighborCountIsDataLoss) {
+  Correlator original;
+  original.OnReference(Ref(1, RefKind::kPoint, "/one", 1));
+  original.OnReference(Ref(1, RefKind::kPoint, "/two", 2));
+  const std::string valid = original.EncodeSnapshot();
+  ASSERT_TRUE(Correlator::DecodeSnapshot(valid).ok());
+
+  SeerParams huge = original.params();
+  huge.max_neighbors = 2'000'000'000;
+  bool replaced = false;
+  const std::string crafted =
+      ReframeSnapshot(valid, [&](size_t, uint32_t tag, std::string* payload) {
+        if (tag == kTagParams) {
+          ByteWriter params;
+          params.PutString(FormatSeerParams(huge));
+          *payload = params.Take();
+          replaced = true;
+        }
+      });
+  ASSERT_TRUE(replaced);
+  ExpectDataLoss(crafted, "PRMS n 2000000000");
 }
 
 }  // namespace

@@ -522,6 +522,36 @@ TEST(HoardService, ParamsOverridePersistsAcrossServerRestart) {
   }
 }
 
+TEST(HoardService, ParamsSetRejectsNeighborCountThatWouldExhaustMemory) {
+  // A fresh tenant seeds its correlator from its params.seer override, so
+  // an accepted "n 2000000000" would size the relation slab at files x 2e9
+  // slots on the tenant's first folded reference and abort every tenant
+  // with it. The verb must fail before anything reaches disk.
+  const std::string socket = SocketPath("params-huge-n");
+  MemFs fs;
+  ServiceHarness harness(&fs, BaseServiceConfig(1), socket);
+  ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
+  auto client = SeerClient::Connect("unix:" + socket);
+  ASSERT_TRUE(client.ok()) << client.status().message();
+
+  const Status huge = client->ParamsSet(5, "n 2000000000\n");
+  EXPECT_EQ(StatusCode::kInvalidArgument, huge.code()) << huge.message();
+  EXPECT_FALSE(fs.Exists(SnapshotStore::TenantDirectory("/srv", 5) + "/params.seer"));
+
+  // The tenant still streams, on the fleet defaults.
+  ASSERT_TRUE(client->StreamEvents(5, TenantEvents(0x4e, 40)).ok());
+  ASSERT_TRUE(client->Ping().ok());
+  const auto text = client->ParamsGet(5);
+  ASSERT_TRUE(text.ok()) << text.status().message();
+  const auto parsed = ParseSeerParams(*text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(ChurnParams().max_neighbors, parsed->max_neighbors);
+
+  ASSERT_TRUE(client->Shutdown().ok());
+  harness.Join();
+  EXPECT_TRUE(harness.serve_status.ok()) << harness.serve_status.message();
+}
+
 TEST(HoardService, MalformedFramesCloseOnlyTheirConnection) {
   const std::string socket = SocketPath("malformed");
   MemFs fs;
@@ -670,6 +700,108 @@ TEST(HoardService, LoopbackEquivalenceAcrossIoThreadCounts) {
     }
     for (std::thread& s : streamers) {
       s.join();
+    }
+    ASSERT_EQ(0, failures.load());
+
+    auto control = SeerClient::Connect("unix:" + socket);
+    ASSERT_TRUE(control.ok()) << control.status().message();
+    ASSERT_TRUE(control->Shutdown().ok());
+    harness.Join();
+    ASSERT_TRUE(harness.serve_status.ok()) << harness.serve_status.message();
+    EXPECT_EQ(total_events, harness.service.events_ingested());
+    EXPECT_EQ(0u, harness.service.protocol_errors());
+
+    const std::vector<std::string> got = RecoveredSnapshots(&fs, "/srv", kTenants);
+    for (size_t t = 0; t < kTenants; ++t) {
+      EXPECT_EQ(want[t], got[t]) << "tenant=" << t + 1 << " io_threads=" << io_threads;
+    }
+  }
+}
+
+TEST(HoardService, LoopbackEquivalenceMultiTenantConnections) {
+  // The fleet's connection shape: each device connection interleaves the
+  // frames of several tenants, so one shard applies different tenants back
+  // to back while the other shards fold theirs at the same time through
+  // the shared pool, whose contended dispatches run inline. Stores must
+  // still be byte-identical to the in-process oracle.
+  constexpr size_t kTenants = 9;
+  constexpr size_t kConnections = 3;
+  std::vector<std::vector<TraceEvent>> traces;
+  size_t total_events = 0;
+  for (size_t t = 0; t < kTenants; ++t) {
+    traces.push_back(TenantEvents(0xF1E0 + static_cast<uint32_t>(t), 300));
+    total_events += traces.back().size();
+  }
+
+  std::vector<std::string> want;
+  {
+    MemFs fs;
+    TenantRouter router(&fs, "/srv", BaseRouterConfig(1));
+    for (size_t t = 0; t < kTenants; ++t) {
+      Observer observer(ObserverConfig{}, /*fs=*/nullptr);
+      const TenantId tenant = static_cast<TenantId>(t + 1);
+      observer.set_sink(router.SinkFor(tenant));
+      observer.set_miss_listener(router.MissLogFor(tenant));
+      for (const TraceEvent& event : traces[t]) {
+        observer.OnEvent(event);
+      }
+    }
+    ASSERT_TRUE(router.last_error().ok()) << router.last_error().message();
+    ASSERT_TRUE(router.Shutdown().ok());
+    want = RecoveredSnapshots(&fs, "/srv", kTenants);
+  }
+
+  for (const int io_threads : {4, 8}) {
+    const std::string socket = SocketPath("fleet-loopback-" + std::to_string(io_threads));
+    MemFs fs;
+    HoardServiceConfig config = BaseServiceConfig(4);
+    config.io_threads = io_threads;
+    ServiceHarness harness(&fs, config, socket);
+    ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
+
+    // Connection d carries tenants d, d + kConnections, ..., one frame
+    // per tenant in turn, with a delivery barrier every few frames.
+    std::vector<std::thread> devices;
+    std::atomic<int> failures{0};
+    for (size_t d = 0; d < kConnections; ++d) {
+      devices.emplace_back([&, d] {
+        auto client = SeerClient::Connect("unix:" + socket);
+        if (!client.ok()) {
+          ++failures;
+          return;
+        }
+        std::mt19937 rng(0xDE0 + static_cast<uint32_t>(d));
+        std::vector<size_t> cursor(kTenants, 0);
+        size_t frames = 0;
+        bool remaining = true;
+        while (remaining) {
+          remaining = false;
+          for (size_t t = d; t < kTenants; t += kConnections) {
+            if (cursor[t] >= traces[t].size()) {
+              continue;
+            }
+            const size_t n = std::min<size_t>(1 + rng() % 97, traces[t].size() - cursor[t]);
+            const std::vector<TraceEvent> chunk(traces[t].begin() + cursor[t],
+                                                traces[t].begin() + cursor[t] + n);
+            if (!client->StreamEvents(static_cast<TenantId>(t + 1), chunk).ok()) {
+              ++failures;
+              return;
+            }
+            cursor[t] += n;
+            remaining |= cursor[t] < traces[t].size();
+            if (++frames % 4 == 0 && !client->Ping().ok()) {
+              ++failures;
+              return;
+            }
+          }
+        }
+        if (!client->Ping().ok()) {
+          ++failures;
+        }
+      });
+    }
+    for (std::thread& device : devices) {
+      device.join();
     }
     ASSERT_EQ(0, failures.load());
 
