@@ -174,9 +174,9 @@ int main() {
   // Interleave the fleet round-robin in chunks, ticking the control plane
   // between rounds. Chunked delivery is what a transport would do; the
   // chunk size keeps the schedule tenant-interleaved rather than serial.
-  // Each tenant's sink batches internally (IngestBatcher -> IngestBatch),
-  // so sustained streams flow through the stripe-sharded parallel fold on
-  // the router's shared pool.
+  // Each tenant's sink measures and folds every reference as it arrives,
+  // on the delivering thread; the router's shared pool runs snapshot
+  // encode and restore decode.
   constexpr size_t kChunk = 100;
   const auto run_fleet = [&](TenantRouter* r) -> uint64_t {
     uint64_t delivered = 0;
@@ -301,9 +301,10 @@ int main() {
   std::printf("store footprint:   %" PRIu64 " bytes in MemFs\n", fs.TotalBytes());
 
   // Thread sweep (in-process only): the whole fleet replayed on fresh
-  // routers at pool widths 1/2/4/8. Each tenant's batched ingest rides the
-  // stripe-sharded fold, so aggregate refs/s should rise with the pool on
-  // a wide-enough host; scaling_valid records whether this host qualifies.
+  // routers at pool widths 1/2/4/8. Ingest is serial on the delivering
+  // thread, so only the pooled phases (checkpoint encode, restore decode)
+  // can move aggregate refs/s with the pool; scaling_valid records whether
+  // this host can show it.
   struct SweepPoint {
     int threads = 0;
     double refs_per_sec = 0.0;

@@ -28,7 +28,6 @@
 #include <new>
 #include <random>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include <filesystem>
@@ -57,20 +56,11 @@
 namespace {
 std::atomic<bool> g_count_allocations{false};
 thread_local uint64_t t_allocation_count = 0;
-// Process-wide counter for the ingest section: the parallel measure phase
-// allocates (if at all) on pool workers, which the thread-local counter
-// cannot see. Separate flag so the single-thread plane measurements keep
-// their historical cost profile (one relaxed load, no atomic add).
-std::atomic<bool> g_count_allocations_global{false};
-std::atomic<uint64_t> g_global_allocation_count{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   if (g_count_allocations.load(std::memory_order_relaxed)) {
     ++t_allocation_count;
-  }
-  if (g_count_allocations_global.load(std::memory_order_relaxed)) {
-    g_global_allocation_count.fetch_add(1, std::memory_order_relaxed);
   }
   void* p = std::malloc(size);
   if (p == nullptr) {
@@ -82,9 +72,6 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) {
   if (g_count_allocations.load(std::memory_order_relaxed)) {
     ++t_allocation_count;
-  }
-  if (g_count_allocations_global.load(std::memory_order_relaxed)) {
-    g_global_allocation_count.fetch_add(1, std::memory_order_relaxed);
   }
   void* p = std::malloc(size);
   if (p == nullptr) {
@@ -543,17 +530,16 @@ CheckpointPlaneCost MeasureCheckpointPlane() {
 }
 
 // ---------------------------------------------------------------------------
-// Ingest throughput: the full batched pipeline (partition → parallel measure
-// → in-order fold) swept across worker counts, plus a microbench of the slab
-// neighbor layout against the pre-refactor vector-of-vectors layout.
+// Ingest throughput: the batched serial path (segment → measure → in-order
+// fold), plus a microbench of the slab neighbor layout against the
+// pre-refactor vector-of-vectors layout.
 // ---------------------------------------------------------------------------
 
-constexpr int kIngestStreams = 8;   // distinct pids → shards per segment
+constexpr int kIngestStreams = 8;   // distinct pids, interleaved round-robin
 constexpr int kIngestPasses = 16;   // ingested refs = kJsonFiles * kIngestPasses
 
 // A pure-reference trace spread round-robin across kIngestStreams process
-// streams, so every segment partitions into kIngestStreams shards whose
-// distance measurement can proceed in parallel.
+// streams, with no barrier events: each batch is one segment.
 std::vector<IngestEvent> BuildIngestTrace() {
   std::vector<PathId> ids;
   ids.reserve(kJsonFiles);
@@ -579,15 +565,15 @@ std::vector<IngestEvent> BuildIngestTrace() {
 }
 
 struct IngestCost {
-  int threads = 0;
   double refs_per_sec = 0.0;
   double allocs_per_ref = 0.0;
-  IngestStats stats;
+  uint64_t segments = 0;
+  uint64_t measure_us = 0;
+  uint64_t fold_us = 0;
 };
 
-IngestCost MeasureIngestThroughput(int threads, const std::vector<IngestEvent>& events) {
+IngestCost MeasureIngestThroughput(const std::vector<IngestEvent>& events) {
   Correlator correlator;
-  correlator.SetIngestThreads(threads);
   constexpr size_t kBatch = 1024;
   const auto replay = [&] {
     for (size_t i = 0; i < events.size(); i += kBatch) {
@@ -595,27 +581,30 @@ IngestCost MeasureIngestThroughput(int threads, const std::vector<IngestEvent>& 
       correlator.IngestBatch(events.data() + i, n);
     }
   };
-  // Warm-up pass: file table, slab stripes, per-stream windows and shard
+  // Warm-up pass: file table, slab stripes, per-stream windows and segment
   // scratch buffers all reach steady-state capacity before we measure.
   replay();
 
-  g_global_allocation_count.store(0, std::memory_order_relaxed);
-  g_count_allocations_global.store(true, std::memory_order_relaxed);
+  // The warm-up fed the same counters, so the timed pass is the difference.
+  const IngestStats before = correlator.ingest_stats();
+  t_allocation_count = 0;
+  g_count_allocations.store(true, std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
   replay();
   const auto stop = std::chrono::steady_clock::now();
-  g_count_allocations_global.store(false, std::memory_order_relaxed);
-  const uint64_t allocations =
-      g_global_allocation_count.load(std::memory_order_relaxed);
+  g_count_allocations.store(false, std::memory_order_relaxed);
+  const uint64_t allocations = t_allocation_count;
+  const IngestStats& after = correlator.ingest_stats();
 
   const double refs = static_cast<double>(events.size());
   const double ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count());
   IngestCost cost;
-  cost.threads = threads;
   cost.refs_per_sec = ns > 0 ? refs * 1e9 / ns : 0.0;
   cost.allocs_per_ref = static_cast<double>(allocations) / refs;
-  cost.stats = correlator.ingest_stats();
+  cost.segments = after.segments - before.segments;
+  cost.measure_us = after.measure_us - before.measure_us;
+  cost.fold_us = after.fold_us - before.fold_us;
   return cost;
 }
 
@@ -863,14 +852,8 @@ void WriteOverheadJson() {
   const CheckpointPlaneCost plane = MeasureCheckpointPlane();
 
   const std::vector<IngestEvent> trace = BuildIngestTrace();
-  constexpr int kMaxSweepThreads = 8;
-  std::vector<IngestCost> ingest;
-  for (int threads : {1, 2, 4, kMaxSweepThreads}) {
-    ingest.push_back(MeasureIngestThroughput(threads, trace));
-  }
+  const IngestCost ingest = MeasureIngestThroughput(trace);
   const LayoutCost layout = MeasureNeighborLayouts();
-  const unsigned host_cpus = std::thread::hardware_concurrency();
-  bench::WarnIfScalingInvalid("overhead", kMaxSweepThreads);
 
   const char* path = "BENCH_overhead.json";
   std::FILE* out = std::fopen(path, "w");
@@ -881,7 +864,6 @@ void WriteOverheadJson() {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"overhead\",\n");
   bench::WriteJsonMachineMeta(out);
-  bench::WriteJsonScalingValid(out, kMaxSweepThreads);
   std::fprintf(out, "  \"references\": %d,\n", kJsonFiles * kJsonPasses);
   std::fprintf(out, "  \"string_plane\": {\n");
   std::fprintf(out, "    \"ns_per_reference\": %.2f,\n", before.ns_per_reference);
@@ -917,27 +899,13 @@ void WriteOverheadJson() {
   std::fprintf(out, "  \"ingest\": {\n");
   std::fprintf(out, "    \"refs\": %zu,\n", trace.size());
   std::fprintf(out, "    \"streams\": %d,\n", kIngestStreams);
-  std::fprintf(out, "    \"host_cpus\": %u,\n", host_cpus);
-  std::fprintf(out, "    \"threads\": [\n");
-  for (size_t i = 0; i < ingest.size(); ++i) {
-    const IngestCost& c = ingest[i];
-    std::fprintf(out,
-                 "      {\"threads\": %d, \"refs_per_sec\": %.0f, "
-                 "\"allocs_per_ref\": %.4f, \"segments\": %llu, "
-                 "\"shards\": %llu, \"max_shard_refs\": %llu, "
-                 "\"measure_us\": %llu, \"fold_us\": %llu, "
-                 "\"parallel_folds\": %llu, \"fold_stripes\": %llu}%s\n",
-                 c.threads, c.refs_per_sec, c.allocs_per_ref,
-                 static_cast<unsigned long long>(c.stats.segments),
-                 static_cast<unsigned long long>(c.stats.shards),
-                 static_cast<unsigned long long>(c.stats.max_shard_refs),
-                 static_cast<unsigned long long>(c.stats.measure_us),
-                 static_cast<unsigned long long>(c.stats.fold_us),
-                 static_cast<unsigned long long>(c.stats.parallel_folds),
-                 static_cast<unsigned long long>(c.stats.fold_stripes),
-                 i + 1 < ingest.size() ? "," : "");
-  }
-  std::fprintf(out, "    ],\n");
+  std::fprintf(out, "    \"segments\": %llu,\n",
+               static_cast<unsigned long long>(ingest.segments));
+  std::fprintf(out, "    \"refs_per_sec\": %.0f,\n", ingest.refs_per_sec);
+  std::fprintf(out, "    \"allocs_per_ref\": %.4f,\n", ingest.allocs_per_ref);
+  std::fprintf(out, "    \"measure_us\": %llu,\n",
+               static_cast<unsigned long long>(ingest.measure_us));
+  std::fprintf(out, "    \"fold_us\": %llu,\n", static_cast<unsigned long long>(ingest.fold_us));
   std::fprintf(out, "    \"neighbor_layout\": {\n");
   std::fprintf(out, "      \"legacy_ns_per_obs\": %.2f,\n", layout.legacy_ns_per_obs);
   std::fprintf(out, "      \"legacy_build_allocations\": %llu,\n",
@@ -966,15 +934,11 @@ void WriteOverheadJson() {
       plane.encode_parallel_us, plane.encode_threads);
   std::printf("    delta after 1%% touch: %.0f B of %.0f B full (ratio %.3f)\n",
               plane.delta_bytes, plane.full_bytes, plane.delta_ratio);
-  std::printf("  ingest (%zu refs, %d streams, host has %u cpu%s):\n", trace.size(),
-              kIngestStreams, host_cpus, host_cpus == 1 ? "" : "s");
-  for (const IngestCost& c : ingest) {
-    std::printf("    threads=%d: %10.0f refs/sec  %6.3f allocs/ref\n", c.threads,
-                c.refs_per_sec, c.allocs_per_ref);
-  }
-  if (host_cpus < 2) {
-    std::printf("    (single-cpu host: thread sweep shows overhead, not speedup)\n");
-  }
+  std::printf("  ingest (%zu refs, %d streams): %10.0f refs/sec  %6.3f allocs/ref  "
+              "measure %llu us  fold %llu us\n",
+              trace.size(), kIngestStreams, ingest.refs_per_sec, ingest.allocs_per_ref,
+              static_cast<unsigned long long>(ingest.measure_us),
+              static_cast<unsigned long long>(ingest.fold_us));
   std::printf("  neighbor layout: legacy %6.1f ns/obs (%llu build allocs)  |  slab %6.1f ns/obs (%llu build allocs)\n",
               layout.legacy_ns_per_obs,
               static_cast<unsigned long long>(layout.legacy_build_allocations),

@@ -5,7 +5,7 @@
 // tenant per connection — the deployment shape), sweeping the I/O shard
 // count 1/2/4/8. Frames are encoded before the clock starts, so the
 // measured path is the server's: poll, frame scan, arena decode,
-// observer, stripe-sharded fold. Each sender ends with its own Ping
+// observer, measure and fold, WAL append. Each sender ends with its own Ping
 // barrier on its own connection, so "elapsed" covers ingest of every
 // event, not just the writes.
 //

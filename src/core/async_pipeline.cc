@@ -86,8 +86,8 @@ void AsyncCorrelator::OnFileExcluded(PathId path) {
 void AsyncCorrelator::WorkerLoop() {
   // Reused drain buffer: the worker takes everything queued in one lock
   // hold, frees the whole ring for producers, then applies the batch via
-  // the sharded ingest pipeline — a deep backlog becomes a wide batch whose
-  // distance measurement parallelises across process streams.
+  // IngestBatch — a deep backlog costs one lock round trip, not one per
+  // message.
   std::vector<Message> batch;
   batch.reserve(capacity_);
   for (;;) {
@@ -146,15 +146,6 @@ void AsyncCorrelator::SetClusterThreads(int threads) {
 
 ClusterBuildStats AsyncCorrelator::LastClusterStats() {
   return Query([](const Correlator& c) { return c.last_cluster_stats(); });
-}
-
-void AsyncCorrelator::SetIngestThreads(int threads) {
-  std::lock_guard<std::mutex> lock(correlator_mutex_);
-  correlator_.SetIngestThreads(threads);
-}
-
-IngestStats AsyncCorrelator::LastIngestStats() {
-  return Query([](const Correlator& c) { return c.ingest_stats(); });
 }
 
 size_t AsyncCorrelator::enqueued() const {

@@ -6,9 +6,9 @@
 // (Sections 2, 5.3). AsyncCorrelator reproduces that decoupling inside one
 // process: it is a ReferenceSink whose methods enqueue onto a bounded
 // queue and return immediately; a worker thread drains the queue in whole
-// batches into the correlator's sharded IngestBatch pipeline, so distance
-// measurement for a backlog parallelises across process streams while the
-// applied state stays bit-identical to one-at-a-time serial delivery.
+// batches into the correlator's IngestBatch, so a bursty producer is
+// absorbed at batch granularity while the applied state stays
+// bit-identical to one-at-a-time serial delivery.
 // Queries (clustering, distances) synchronise with the
 // worker so callers always see a fully drained correlator — exactly the
 // semantics of asking the correlator daemon for a hoard fill.
@@ -76,11 +76,6 @@ class AsyncCorrelator : public ReferenceSink {
   // Cluster-engine controls, applied under the pipeline lock.
   void SetClusterThreads(int threads);
   ClusterBuildStats LastClusterStats();
-
-  // Ingest-pipeline controls: measure-phase thread count for the batched
-  // drain, and the ingest counters (batches, segments, shards, barriers).
-  void SetIngestThreads(int threads);
-  IngestStats LastIngestStats();
 
   // Statistics.
   size_t enqueued() const;

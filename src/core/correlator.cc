@@ -1,6 +1,5 @@
 #include "src/core/correlator.h"
 
-#include <algorithm>
 #include <chrono>
 
 namespace seer {
@@ -52,26 +51,6 @@ void Correlator::OnReference(const FileReference& ref) {
   }
 }
 
-void Correlator::SetIngestThreads(int threads) {
-  ingest_threads_ = threads;
-  const int want = ingest_threads_ > 0 ? ingest_threads_ : DefaultThreadCount();
-  if (ingest_pool_ != nullptr && ingest_pool_threads_ != want) {
-    ingest_pool_.reset();
-  }
-}
-
-int Correlator::ingest_threads() const {
-  return ingest_threads_ > 0 ? ingest_threads_ : DefaultThreadCount();
-}
-
-void Correlator::UseSharedPool(ThreadPool* pool) {
-  shared_pool_ = pool;
-  clusters_.set_shared_pool(pool);
-  if (pool != nullptr) {
-    ingest_pool_.reset();
-  }
-}
-
 void Correlator::OverrideTuningParams(const SeerParams& params) {
   SeerParams effective = params;
   effective.max_neighbors = params_.max_neighbors;  // slab geometry is baked
@@ -81,215 +60,47 @@ void Correlator::OverrideTuningParams(const SeerParams& params) {
   clusters_.OverrideParams(effective);
 }
 
-ThreadPool* Correlator::IngestPool() {
-  if (shared_pool_ != nullptr) {
-    return shared_pool_;
-  }
-  const int want = ingest_threads_ > 0 ? ingest_threads_ : DefaultThreadCount();
-  if (ingest_pool_ == nullptr || ingest_pool_threads_ != want) {
-    ingest_pool_ = std::make_unique<ThreadPool>(want);
-    ingest_pool_threads_ = want;
-  }
-  return ingest_pool_.get();
-}
-
-void Correlator::AddRefToSegment(RefKind kind, Pid pid, FileId id, Time time) {
-  // Shard key mirrors the stream mapping: one shard per process, or a
-  // single shard when per-process separation is disabled.
-  const Pid key_pid = params_.per_process_streams ? pid : 0;
-  const uint64_t key = static_cast<uint64_t>(static_cast<uint32_t>(key_pid)) + 1;
-  uint32_t shard;
-  bool inserted = false;
-  uint32_t& slot = shard_of_pid_.InsertOrGet(key, &inserted);
-  if (inserted) {
-    if (active_shards_ == shards_.size()) {
-      shards_.emplace_back();
-    }
-    shard = static_cast<uint32_t>(active_shards_++);
-    slot = shard;
-    // Prepare (stream creation) happens here, on the sequential partition
-    // path — the parallel measure phase then only ever touches existing,
-    // stable Stream nodes.
-    shards_[shard].stream = streams_.Prepare(key_pid);
-  } else {
-    shard = slot;
-  }
-  IngestShard& sh = shards_[shard];
-  sh.refs.push_back({kind, id, time});
-  ref_order_.push_back({shard, static_cast<uint32_t>(sh.refs.size() - 1)});
-}
-
-void Correlator::MeasureShard(IngestShard* shard) {
-  IngestShard& sh = *shard;
-  sh.obs.clear();
-  sh.offsets.clear();
-  sh.offsets.reserve(sh.refs.size() + 1);
-  sh.offsets.push_back(0);
-  for (const PendingRef& r : sh.refs) {
-    sh.scratch.clear();
-    switch (r.kind) {
-      case RefKind::kBegin:
-        streams_.MeasureBegin(sh.stream, r.id, r.time, &sh.scratch);
-        break;
-      case RefKind::kEnd:
-        streams_.MeasureEnd(sh.stream, r.id);
-        break;
-      case RefKind::kPoint:
-        streams_.MeasurePoint(sh.stream, r.id, r.time, &sh.scratch);
-        break;
-    }
-    for (const DistanceObservation& obs : sh.scratch) {
-      // Liveness flags are frozen for the whole segment (barriers and
-      // would-resurrect references cut segments), so filtering here equals
-      // the serial per-reference filter. Self-observations are dropped here
-      // too (the fold would no-op them): the sharded fold assigns one
-      // global ordinal per surviving observation, so the obs list must be
-      // exactly the updates the serial path would apply.
-      if (obs.from == obs.to) {
-        continue;
-      }
-      const FileRecord& from = files_.Get(obs.from);
-      if (from.deleted || from.excluded) {
-        continue;
-      }
-      sh.obs.push_back(
-          {obs.from, obs.to, obs.distance, relations_.FindSlot(obs.from, obs.to)});
-    }
-    sh.offsets.push_back(static_cast<uint32_t>(sh.obs.size()));
-  }
-}
-
 void Correlator::FlushSegment() {
-  if (ref_order_.empty()) {
+  if (segment_.empty()) {
     return;
   }
   ++ingest_stats_.segments;
-  ingest_stats_.shards += active_shards_;
-  ingest_stats_.refs += ref_order_.size();
-  for (size_t i = 0; i < active_shards_; ++i) {
-    ingest_stats_.max_shard_refs =
-        std::max<uint64_t>(ingest_stats_.max_shard_refs, shards_[i].refs.size());
-  }
+  ingest_stats_.refs += segment_.size();
 
-  // Phase B: measure every shard in parallel. Measurement mutates only its
-  // own stream; files_ and relations_ are read-only here (liveness filter,
-  // slot hints), so shards never race.
+  // Measure: walk each reference's stream in trace order. The file table
+  // and the relation table are not touched, so this phase is exactly the
+  // stream half of OnReference.
   auto mark = std::chrono::steady_clock::now();
-  IngestPool()->ParallelChunks(active_shards_,
-                               [this](size_t sh) { MeasureShard(&shards_[sh]); });
+  segment_obs_.clear();
+  for (const PendingRef& r : segment_) {
+    switch (r.kind) {
+      case RefKind::kBegin:
+        streams_.OnBegin(r.pid, r.id, r.time, &segment_obs_);
+        break;
+      case RefKind::kEnd:
+        streams_.OnEnd(r.pid, r.id);
+        break;
+      case RefKind::kPoint:
+        streams_.OnPoint(r.pid, r.id, r.time, &segment_obs_);
+        break;
+    }
+  }
   ingest_stats_.measure_us += MicrosSince(mark);
 
-  // Phase C: fold observations into the relation table, partitioned by the
-  // table's 256-file stripes (one worker per stripe, trace order within).
-  // Small segments fold serially — same end state either way, the sharded
-  // path just isn't worth the dispatch below the cutoff.
+  // Fold in trace order. Liveness is frozen for the whole segment (barriers
+  // and would-resurrect references cut segments), so this filter sees the
+  // flags OnReference's per-reference filter would have seen.
   mark = std::chrono::steady_clock::now();
-  size_t total_obs = 0;
-  for (size_t i = 0; i < active_shards_; ++i) {
-    total_obs += shards_[i].obs.size();
-  }
-  if (total_obs >= kParallelFoldMinObs && IngestPool()->threads() > 1) {
-    ++ingest_stats_.parallel_folds;
-    FoldSegmentSharded(total_obs);
-  } else {
-    ++ingest_stats_.serial_folds;
-    for (const RefLoc& loc : ref_order_) {
-      const IngestShard& sh = shards_[loc.shard];
-      const uint32_t begin = sh.offsets[loc.index];
-      const uint32_t end = sh.offsets[loc.index + 1];
-      for (uint32_t i = begin; i < end; ++i) {
-        const MeasuredObs& o = sh.obs[i];
-        relations_.ObserveHinted(o.from, o.to, o.distance, o.hint);
-      }
+  ++ingest_stats_.serial_folds;
+  for (const DistanceObservation& obs : segment_obs_) {
+    const FileRecord& from = files_.Get(obs.from);
+    if (from.deleted || from.excluded) {
+      continue;
     }
+    relations_.Observe(obs.from, obs.to, obs.distance);
   }
   ingest_stats_.fold_us += MicrosSince(mark);
-
-  for (size_t i = 0; i < active_shards_; ++i) {
-    shards_[i].refs.clear();
-  }
-  shard_of_pid_.Clear();
-  active_shards_ = 0;
-  ref_order_.clear();
-}
-
-void Correlator::FoldSegmentSharded(size_t total_obs) {
-  // The relation slab must cover every id the workers will touch before
-  // they start: worker-side folds never resize shared arrays.
-  relations_.EnsureCapacity(static_cast<FileId>(files_.size() - 1));
-
-  // Count observations per 256-file stripe of their `from` file (order
-  // doesn't matter for counting), then prefix-sum into bucket offsets.
-  const size_t num_stripes =
-      (files_.size() + RelationTable::kStripeSize - 1) >> RelationTable::kStripeShift;
-  stripe_offsets_.assign(num_stripes + 1, 0);
-  for (size_t s = 0; s < active_shards_; ++s) {
-    for (const MeasuredObs& o : shards_[s].obs) {
-      ++stripe_offsets_[(o.from >> RelationTable::kStripeShift) + 1];
-    }
-  }
-  for (size_t sx = 0; sx < num_stripes; ++sx) {
-    stripe_offsets_[sx + 1] += stripe_offsets_[sx];
-  }
-
-  // Counting-sort the observations into their stripe buckets, walking
-  // ref_order_ so each bucket keeps trace order, and assign each surviving
-  // observation its global update ordinal (1-based position appended to
-  // the table's update count) — exactly the ordinal serial ingest's
-  // update_count_ increment would have given it.
-  fold_items_.resize(total_obs);
-  stripe_cursor_.assign(stripe_offsets_.begin(), stripe_offsets_.end() - 1);
-  uint32_t ord = 0;
-  for (const RefLoc& loc : ref_order_) {
-    const IngestShard& sh = shards_[loc.shard];
-    const uint32_t begin = sh.offsets[loc.index];
-    const uint32_t end = sh.offsets[loc.index + 1];
-    for (uint32_t i = begin; i < end; ++i) {
-      const uint32_t sx = sh.obs[i].from >> RelationTable::kStripeShift;
-      fold_items_[stripe_cursor_[sx]++] = {loc.shard, i, ++ord};
-    }
-  }
-
-  touched_stripes_.clear();
-  for (uint32_t sx = 0; sx < num_stripes; ++sx) {
-    if (stripe_offsets_[sx + 1] > stripe_offsets_[sx]) {
-      touched_stripes_.push_back(sx);
-    }
-  }
-  ingest_stats_.fold_stripes += touched_stripes_.size();
-
-  // Parallel fold: each worker owns whole stripes, so every slab write
-  // lands in slot ranges no other worker touches; cross-stripe effects
-  // (reverse index, epoch clocks) go into the per-stripe log. Prefetching
-  // the next observation's slab row hides the gather latency of jumping
-  // between files within a stripe.
-  const uint64_t base_count = relations_.update_count();
-  fold_logs_.assign(touched_stripes_.size(), RelationTable::StripeFoldLog{});
-  IngestPool()->ParallelChunks(touched_stripes_.size(), [&](size_t k) {
-    const uint32_t sx = touched_stripes_[k];
-    RelationTable::StripeFoldLog* log = &fold_logs_[k];
-    const uint32_t lo = stripe_offsets_[sx];
-    const uint32_t hi = stripe_offsets_[sx + 1];
-    for (uint32_t t = lo; t < hi; ++t) {
-      if (t + 1 < hi) {
-        const FoldItem& nx = fold_items_[t + 1];
-        relations_.PrefetchRow(shards_[nx.shard].obs[nx.index].from);
-      }
-      const FoldItem& item = fold_items_[t];
-      const MeasuredObs& o = shards_[item.shard].obs[item.index];
-      relations_.FoldObservation(o.from, o.to, o.distance, o.hint, base_count + item.ord,
-                                 log);
-    }
-  });
-  relations_.set_update_count(base_count + total_obs);
-
-  // Sequential replay of the deferred cross-stripe effects, in ascending
-  // stripe order. The dirty sets this produces (set stamps, stripe data
-  // stamps, reverse-index membership) equal the serial path's; only the
-  // unserialized epoch orderings differ.
-  for (size_t k = 0; k < touched_stripes_.size(); ++k) {
-    relations_.ApplyFoldLog(touched_stripes_[k], fold_logs_[k]);
-  }
+  segment_.clear();
 }
 
 void Correlator::IngestBatch(const IngestEvent* events, size_t count) {
@@ -301,7 +112,7 @@ void Correlator::IngestBatch(const IngestEvent* events, size_t count) {
       // liveness flag that already-pending observations must be filtered
       // against. Flush the segment first so their filter sees the
       // pre-resurrection flag, exactly as serial ingest would.
-      if (!ref_order_.empty()) {
+      if (!segment_.empty()) {
         const FileId existing = files_.Find(e.ref.path);
         if (existing != kInvalidFileId && files_.Get(existing).deleted) {
           FlushSegment();
@@ -313,10 +124,10 @@ void Correlator::IngestBatch(const IngestEvent* events, size_t count) {
         continue;
       }
       files_.RecordReference(id, e.ref.time, ++global_ref_seq_);
-      AddRefToSegment(e.ref.kind, e.ref.pid, id, e.ref.time);
+      segment_.push_back({e.ref.kind, e.ref.pid, id, e.ref.time});
     } else {
       // Barrier: stream topology or liveness changes. Apply after flushing
-      // everything measured so far.
+      // everything pending.
       FlushSegment();
       ++ingest_stats_.barriers;
       switch (e.kind) {

@@ -13,21 +13,19 @@
 // no heap allocation once a path has been seen. Strings reappear only on
 // the query egress (Distance/NeighborPaths diagnostics, persistence).
 //
-// Two ingest paths produce identical state:
+// Ingest is serial. Two entry points produce identical state:
 //
-//  * the serial ReferenceSink methods (one event at a time), and
-//  * IngestBatch — a batched, sharded pipeline that partitions each batch
-//    of events by owning process stream, measures semantic distances for
-//    all shards in parallel (measurement is pure per-stream), and folds
-//    the observations into the relation table partitioned by the table's
-//    256-file stripes: one worker folds each stripe's observations in
-//    trace order, and the cross-stripe side effects are replayed
-//    sequentially afterwards. Per-file relation state depends only on that
-//    file's own observation subsequence (same stripe, same worker, trace
-//    order), the observations' global ordinals, liveness flags frozen for
-//    the segment, and stateless tie-break draws — all invariant in the
-//    thread count — so the resulting state is bit-identical to serial
-//    ingest at any thread count (DESIGN.md §15).
+//  * the ReferenceSink methods, one event at a time — the path durable
+//    ingest and WAL recovery take; and
+//  * IngestBatch, which holds a batch's references back in segments: a
+//    segment is measured against its process streams, then folded into
+//    the relation table in trace order. Barrier events (fork, exit,
+//    delete, rename, exclude) and a reference that would resurrect a
+//    deleted file cut segments, so liveness is frozen while a segment is
+//    measured and the fold sees exactly what per-event ingest would.
+//
+// The correlator's parallel phases are cluster scoring (UseSharedPool) and
+// snapshot chain decode; DESIGN.md §11 records why ingest is not one.
 #ifndef SRC_CORE_CORRELATOR_H_
 #define SRC_CORE_CORRELATOR_H_
 
@@ -44,14 +42,13 @@
 #include "src/core/relation_table.h"
 #include "src/core/snapshot_codec.h"
 #include "src/observer/reference.h"
-#include "src/util/flat_map.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"
 
 namespace seer {
 
 // One queued sink event, POD so ring buffers and batch vectors never
-// allocate per event. Shared by the AsyncCorrelator queue and IngestBatcher.
+// allocate per event. Shared by the AsyncCorrelator queue and BatchingSink.
 struct IngestEvent {
   enum class Kind : uint8_t {
     kReference,
@@ -72,19 +69,16 @@ struct IngestEvent {
 
 // Counters describing what the batched ingest path actually did.
 struct IngestStats {
-  uint64_t batches = 0;         // IngestBatch calls
-  uint64_t segments = 0;        // parallel measure/fold rounds
-  uint64_t shards = 0;          // per-segment stream shards, summed
-  uint64_t refs = 0;            // reference events ingested via batches
-  uint64_t barriers = 0;        // non-reference events (segment cuts)
-  uint64_t max_shard_refs = 0;  // largest single shard seen
-  // Phase timing (accumulated wall time) and fold-plane shape, for the
-  // `seerctl replay --stats` per-phase breakdown.
-  uint64_t measure_us = 0;       // parallel distance measurement
-  uint64_t fold_us = 0;          // relation fold (either mode) + log replay
-  uint64_t parallel_folds = 0;   // segments folded by the sharded path
-  uint64_t serial_folds = 0;     // segments under the serial cutoff
-  uint64_t fold_stripes = 0;     // stripes folded by the sharded path, summed
+  uint64_t batches = 0;   // IngestBatch calls
+  uint64_t segments = 0;  // measure/fold rounds
+  uint64_t refs = 0;      // reference events ingested via batches
+  uint64_t barriers = 0;  // non-reference events (segment cuts)
+  // Phase timing (accumulated wall time), for the `seerctl replay --stats`
+  // per-phase breakdown.
+  uint64_t measure_us = 0;      // distance measurement
+  uint64_t fold_us = 0;         // relation fold
+  uint64_t serial_folds = 0;    // segments folded (every fold is serial)
+  uint64_t parallel_folds = 0;  // always 0: the parallel fold was deleted
 };
 
 class Correlator : public ReferenceSink {
@@ -101,28 +95,21 @@ class Correlator : public ReferenceSink {
 
   // --- Batched ingest ------------------------------------------------------
 
-  // Applies `count` events as the sharded pipeline: consecutive reference
-  // events form segments (cut by the non-reference barrier events and by
-  // references that would resurrect a deleted file, which flips a liveness
-  // flag mid-run); each segment is partitioned by owning stream, measured
-  // in parallel, and folded into the relation table in trace order. End
-  // state is bit-identical to feeding the same events through the serial
-  // sink methods, at any thread count.
+  // Applies `count` events in segments: consecutive references wait in
+  // trace order until a barrier event, or a reference that would
+  // resurrect a deleted file, cuts the segment; the segment is then
+  // measured against its streams and folded into the relation table in
+  // trace order. End state is bit-identical to feeding the same events
+  // through the sink methods one at a time.
   void IngestBatch(const IngestEvent* events, size_t count);
 
-  // Measure-phase thread count for batched ingest; 0 restores the default
-  // (SEER_THREADS / hardware concurrency).
-  void SetIngestThreads(int threads);
-  int ingest_threads() const;
-
-  // Run all parallel phases (ingest measurement and cluster scoring) on a
-  // caller-owned pool instead of private ones. The multi-tenant router
-  // multiplexes one pool across every resident tenant this way; per-tenant
-  // worker threads would not scale. nullptr restores private pools.
-  // Results are unchanged either way — every parallel phase is
-  // bit-identical at any thread count, and contended dispatches fall back
-  // to inline execution (see ThreadPool).
-  void UseSharedPool(ThreadPool* pool);
+  // Run cluster scoring on a caller-owned pool instead of a private one.
+  // The multi-tenant router multiplexes one pool across every resident
+  // tenant this way; per-tenant worker threads would not scale. nullptr
+  // restores the private pool. Results are unchanged either way — cluster
+  // builds are bit-identical at any thread count, and contended dispatches
+  // fall back to inline execution (see ThreadPool).
+  void UseSharedPool(ThreadPool* pool) { clusters_.set_shared_pool(pool); }
 
   const IngestStats& ingest_stats() const { return ingest_stats_; }
 
@@ -164,9 +151,9 @@ class Correlator : public ReferenceSink {
   // relation table, streams, and cluster builder. max_neighbors is pinned
   // to the current value — it bakes the relation slab's geometry at
   // construction, so changing it takes an evict/restore cycle with new
-  // defaults, not an override. Call with no batched ingest in flight
-  // (flush the batcher first) so the boundary between old- and new-params
-  // measurement is deterministic.
+  // defaults, not an override. The new knobs apply from the next event
+  // on; flush a BatchingSink first so the boundary between old- and
+  // new-params measurement is deterministic.
   void OverrideTuningParams(const SeerParams& params);
 
   // Mean semantic distance from -> to, or negative when untracked.
@@ -224,46 +211,16 @@ class Correlator : public ReferenceSink {
   void TrimStreamRemovals(uint64_t epoch) { streams_.TrimRemovalLog(epoch); }
 
  private:
-  // --- batched ingest plumbing (state reused across segments) --------------
+  // A reference held back until its segment is measured.
   struct PendingRef {
     RefKind kind = RefKind::kPoint;
+    Pid pid = 0;
     FileId id = kInvalidFileId;
     Time time = 0;
   };
-  struct MeasuredObs {
-    FileId from = kInvalidFileId;
-    FileId to = kInvalidFileId;
-    double distance = 0.0;
-    int32_t hint = -1;  // pre-computed relation-table slot of (from, to)
-  };
-  struct RefLoc {
-    uint32_t shard = 0;
-    uint32_t index = 0;  // position within the shard's ref list
-  };
-  struct IngestShard {
-    ReferenceStreams::Stream* stream = nullptr;
-    std::vector<PendingRef> refs;
-    std::vector<MeasuredObs> obs;       // filtered observations, ref-ordered
-    std::vector<uint32_t> offsets;      // obs range of ref i: [off[i], off[i+1])
-    std::vector<DistanceObservation> scratch;
-  };
 
-  // Observations below this count fold serially: dispatching a handful of
-  // folds across workers costs more than the folds themselves.
-  static constexpr size_t kParallelFoldMinObs = 512;
-
-  // One observation's position in the stripe-partitioned fold worklist.
-  struct FoldItem {
-    uint32_t shard = 0;  // owning IngestShard
-    uint32_t index = 0;  // index into that shard's obs array
-    uint32_t ord = 0;    // 1-based position in the segment's trace order
-  };
-
-  void AddRefToSegment(RefKind kind, Pid pid, FileId id, Time time);
+  // Measures the pending segment, then folds its observations.
   void FlushSegment();
-  void FoldSegmentSharded(size_t total_obs);
-  void MeasureShard(IngestShard* shard);
-  ThreadPool* IngestPool();
 
   SeerParams params_;
   FileTable files_;
@@ -275,40 +232,65 @@ class Correlator : public ReferenceSink {
   uint64_t references_processed_ = 0;
   uint64_t global_ref_seq_ = 0;
 
-  std::vector<IngestShard> shards_;
-  size_t active_shards_ = 0;
-  FlatMap<uint64_t, uint32_t> shard_of_pid_{0};  // key = pid + 1 (0 reserved)
-  std::vector<RefLoc> ref_order_;                // segment refs in trace order
-  // Sharded-fold scratch, reused across segments: per-stripe observation
-  // counts / bucket cursors, the stripe-partitioned worklist (trace order
-  // within each bucket), the touched-stripe list, and per-stripe logs.
-  std::vector<uint32_t> stripe_offsets_;
-  std::vector<uint32_t> stripe_cursor_;
-  std::vector<FoldItem> fold_items_;
-  std::vector<uint32_t> touched_stripes_;
-  std::vector<RelationTable::StripeFoldLog> fold_logs_;
+  // Batched-ingest scratch, reused across segments: the pending references
+  // and their observations, both in trace order.
+  std::vector<PendingRef> segment_;
+  std::vector<DistanceObservation> segment_obs_;
   IngestStats ingest_stats_;
-  int ingest_threads_ = 0;
-  std::unique_ptr<ThreadPool> ingest_pool_;
-  int ingest_pool_threads_ = 0;
-  ThreadPool* shared_pool_ = nullptr;  // not owned; overrides ingest_pool_
 };
 
-// Accumulates sink events and applies them to a Correlator via IngestBatch
-// once `capacity` have gathered (or on explicit Flush). Not thread-safe;
-// flush before reading the correlator.
-class IngestBatcher {
+// ReferenceSink adapter over IngestBatch: drop it between an observer and
+// a correlator to replay through the batched path with unchanged
+// semantics. Events wait until `capacity` have gathered (or an explicit
+// Flush); the destructor flushes the tail batch. Not thread-safe; flush
+// before reading the correlator.
+class BatchingSink : public ReferenceSink {
  public:
-  explicit IngestBatcher(Correlator* correlator, size_t capacity = 1024)
+  explicit BatchingSink(Correlator* correlator, size_t capacity = 1024)
       : correlator_(correlator), capacity_(capacity == 0 ? 1 : capacity) {
     events_.reserve(capacity_);
   }
+  ~BatchingSink() override { Flush(); }
 
-  void Add(const IngestEvent& event) {
-    events_.push_back(event);
-    if (events_.size() >= capacity_) {
-      Flush();
-    }
+  void OnReference(const FileReference& ref) override {
+    IngestEvent e;
+    e.kind = IngestEvent::Kind::kReference;
+    e.ref = ref;
+    Add(e);
+  }
+  void OnProcessFork(Pid parent, Pid child) override {
+    IngestEvent e;
+    e.kind = IngestEvent::Kind::kFork;
+    e.parent = parent;
+    e.child = child;
+    Add(e);
+  }
+  void OnProcessExit(Pid pid) override {
+    IngestEvent e;
+    e.kind = IngestEvent::Kind::kExit;
+    e.child = pid;
+    Add(e);
+  }
+  void OnFileDeleted(PathId path, Time time) override {
+    IngestEvent e;
+    e.kind = IngestEvent::Kind::kDeleted;
+    e.path = path;
+    e.time = time;
+    Add(e);
+  }
+  void OnFileRenamed(PathId from, PathId to, Time time) override {
+    IngestEvent e;
+    e.kind = IngestEvent::Kind::kRenamed;
+    e.path = from;
+    e.path2 = to;
+    e.time = time;
+    Add(e);
+  }
+  void OnFileExcluded(PathId path) override {
+    IngestEvent e;
+    e.kind = IngestEvent::Kind::kExcluded;
+    e.path = path;
+    Add(e);
   }
 
   void Flush() {
@@ -319,68 +301,17 @@ class IngestBatcher {
     events_.clear();
   }
 
-  bool empty() const { return events_.empty(); }
-
  private:
+  void Add(const IngestEvent& event) {
+    events_.push_back(event);
+    if (events_.size() >= capacity_) {
+      Flush();
+    }
+  }
+
   Correlator* correlator_;
   size_t capacity_;
   std::vector<IngestEvent> events_;
-};
-
-// ReferenceSink adapter over IngestBatcher: drop it between an observer and
-// a correlator to get batched (parallel-measure) replay with unchanged
-// semantics. The destructor flushes the tail batch.
-class BatchingSink : public ReferenceSink {
- public:
-  explicit BatchingSink(Correlator* correlator, size_t capacity = 1024)
-      : batcher_(correlator, capacity) {}
-  ~BatchingSink() override { batcher_.Flush(); }
-
-  void OnReference(const FileReference& ref) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kReference;
-    e.ref = ref;
-    batcher_.Add(e);
-  }
-  void OnProcessFork(Pid parent, Pid child) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kFork;
-    e.parent = parent;
-    e.child = child;
-    batcher_.Add(e);
-  }
-  void OnProcessExit(Pid pid) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kExit;
-    e.child = pid;
-    batcher_.Add(e);
-  }
-  void OnFileDeleted(PathId path, Time time) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kDeleted;
-    e.path = path;
-    e.time = time;
-    batcher_.Add(e);
-  }
-  void OnFileRenamed(PathId from, PathId to, Time time) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kRenamed;
-    e.path = from;
-    e.path2 = to;
-    e.time = time;
-    batcher_.Add(e);
-  }
-  void OnFileExcluded(PathId path) override {
-    IngestEvent e;
-    e.kind = IngestEvent::Kind::kExcluded;
-    e.path = path;
-    batcher_.Add(e);
-  }
-
-  void Flush() { batcher_.Flush(); }
-
- private:
-  IngestBatcher batcher_;
 };
 
 }  // namespace seer

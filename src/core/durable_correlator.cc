@@ -17,9 +17,7 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point begin) {
 }  // namespace
 
 DurableCorrelator::DurableCorrelator(SnapshotStore store, std::unique_ptr<Correlator> correlator)
-    : store_(std::move(store)),
-      correlator_(std::move(correlator)),
-      batcher_(correlator_.get()) {}
+    : store_(std::move(store)), correlator_(std::move(correlator)) {}
 
 DurableCorrelator::~DurableCorrelator() {
   if (inflight_thread_.joinable()) {
@@ -69,60 +67,38 @@ ThreadPool* DurableCorrelator::EncodePool() {
   return encode_pool_.get();
 }
 
-// Each sink call appends to the WAL immediately (event order on disk is the
-// trace order) while the in-memory application rides the ingest batcher.
-// Recovery replays the WAL serially; batched and serial ingest are
-// bit-equivalent, so the recovered state matches the batched live state.
+// Each sink call applies its event to the correlator, then appends it to
+// the WAL (event order on disk is the trace order). Recovery replays the
+// WAL through the same sink methods, so the recovered state is the live
+// state.
 
 void DurableCorrelator::OnReference(const FileReference& ref) {
-  IngestEvent e;
-  e.kind = IngestEvent::Kind::kReference;
-  e.ref = ref;
-  batcher_.Add(e);
+  correlator_->OnReference(ref);
   Latch(wal_->AppendReference(ref));
 }
 
 void DurableCorrelator::OnProcessFork(Pid parent, Pid child) {
-  IngestEvent e;
-  e.kind = IngestEvent::Kind::kFork;
-  e.parent = parent;
-  e.child = child;
-  batcher_.Add(e);
+  correlator_->OnProcessFork(parent, child);
   Latch(wal_->AppendFork(parent, child));
 }
 
 void DurableCorrelator::OnProcessExit(Pid pid) {
-  IngestEvent e;
-  e.kind = IngestEvent::Kind::kExit;
-  e.child = pid;
-  batcher_.Add(e);
+  correlator_->OnProcessExit(pid);
   Latch(wal_->AppendExit(pid));
 }
 
 void DurableCorrelator::OnFileDeleted(PathId path, Time time) {
-  IngestEvent e;
-  e.kind = IngestEvent::Kind::kDeleted;
-  e.path = path;
-  e.time = time;
-  batcher_.Add(e);
+  correlator_->OnFileDeleted(path, time);
   Latch(wal_->AppendDeleted(path, time));
 }
 
 void DurableCorrelator::OnFileRenamed(PathId from, PathId to, Time time) {
-  IngestEvent e;
-  e.kind = IngestEvent::Kind::kRenamed;
-  e.path = from;
-  e.path2 = to;
-  e.time = time;
-  batcher_.Add(e);
+  correlator_->OnFileRenamed(from, to, time);
   Latch(wal_->AppendRenamed(from, to, time));
 }
 
 void DurableCorrelator::OnFileExcluded(PathId path) {
-  IngestEvent e;
-  e.kind = IngestEvent::Kind::kExcluded;
-  e.path = path;
-  batcher_.Add(e);
+  correlator_->OnFileExcluded(path);
   Latch(wal_->AppendExcluded(path));
 }
 
@@ -138,12 +114,6 @@ Status DurableCorrelator::DoCheckpoint(bool async) {
   const Status previous = FinishCheckpoint();
 
   const auto stall_begin = std::chrono::steady_clock::now();
-
-  // The snapshot must cover every event handed to the sink so far: apply
-  // the batched tail before sealing. This also pins batch boundaries to
-  // checkpoint boundaries — a generation's snapshot never reflects half a
-  // batch.
-  batcher_.Flush();
   if (wal_ != nullptr) {
     // Complete the outgoing log first: the new snapshot must cover at
     // least everything the old log holds, or a fallback to the previous

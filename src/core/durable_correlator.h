@@ -1,11 +1,15 @@
 // Crash-safe correlator: the in-memory Correlator plus its durability.
 //
-// DurableCorrelator is a ReferenceSink that fans every event into the
-// correlator AND the current generation's WAL, so the on-disk store always
-// holds snapshot + log for the live state. Open() recovers from whatever
-// the directory contains (including mid-crash wreckage) and immediately
-// checkpoints, so each process run works against its own fresh generation
-// and the WAL's path dictionary never straddles runs.
+// DurableCorrelator is a ReferenceSink that applies every event to the
+// correlator and then appends it to the current generation's WAL, so the
+// on-disk store always holds snapshot + log for the live state. Live
+// ingest applies each event exactly as WAL recovery replays it (the
+// correlator's sink methods, one event at a time), so the correlator
+// never lags the sink: a reader always sees every delivered event.
+// Open() recovers from whatever the directory contains (including
+// mid-crash wreckage) and immediately checkpoints, so each process run
+// works against its own fresh generation and the WAL's path dictionary
+// never straddles runs.
 //
 // Checkpointing is split so ingest only stalls for the seal, never for the
 // encode or the disk write:
@@ -76,7 +80,7 @@ class DurableCorrelator : public ReferenceSink {
   // the snapshot it wrote — if it got that far — is still on disk).
   ~DurableCorrelator() override;
 
-  // --- ReferenceSink: forward to the correlator, append to the WAL ------
+  // --- ReferenceSink: apply to the correlator, then append to the WAL ----
   void OnReference(const FileReference& ref) override;
   void OnProcessFork(Pid parent, Pid child) override;
   void OnProcessExit(Pid pid) override;
@@ -84,25 +88,11 @@ class DurableCorrelator : public ReferenceSink {
   void OnFileRenamed(PathId from, PathId to, Time time) override;
   void OnFileExcluded(PathId path) override;
 
-  // Applies every event still waiting in the ingest batcher to the
-  // correlator (measure + fold) on the calling thread. A server calls it
-  // once per delivered frame, so the fold runs where the frame was decoded
-  // rather than at whichever later read would otherwise flush.
-  void FlushIngest() { batcher_.Flush(); }
-
-  // Reading the correlator flushes the ingest batcher first, so callers
-  // always see every event delivered to the sink applied.
-  Correlator& correlator() {
-    batcher_.Flush();
-    return *correlator_;
-  }
-  const Correlator& correlator() const {
-    batcher_.Flush();
-    return *correlator_;
-  }
+  Correlator& correlator() { return *correlator_; }
+  const Correlator& correlator() const { return *correlator_; }
   SnapshotStore& store() { return store_; }
 
-  // Encode snapshots (and, forwarded to the correlator, measure and score)
+  // Encode snapshots (and, forwarded to the correlator, score clusters)
   // on a caller-owned pool. Must not be called while a checkpoint is in
   // flight. nullptr restores private pools.
   void UseSharedPool(ThreadPool* pool);
@@ -153,14 +143,6 @@ class DurableCorrelator : public ReferenceSink {
 
   SnapshotStore store_;
   std::unique_ptr<Correlator> correlator_;
-  // Events are WAL-appended eagerly (one per sink call, order preserved)
-  // but applied to the correlator in batches through the sharded ingest
-  // pipeline; FlushIngest(), Checkpoint() and the correlator() accessors
-  // apply the pending batch first, so batch boundaries always align with
-  // WAL checkpoints and recovery's serial replay reproduces the batched
-  // state exactly (the pipelines are bit-equivalent). Mutable: a const
-  // read must still be able to flush.
-  mutable IngestBatcher batcher_;
   std::unique_ptr<WalWriter> wal_;
   uint64_t generation_ = 0;
   Status wal_status_;

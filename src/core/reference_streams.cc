@@ -14,15 +14,11 @@ constexpr Pid kGlobalStream = 0;
 
 ReferenceStreams::Stream& ReferenceStreams::GetStream(Pid pid) {
   Stream& s = streams_[params_.per_process_streams ? pid : kGlobalStream];
-  // Conservative dirty stamp: every sequential access that may mutate the
-  // stream marks it for the next delta checkpoint. Reads over-stamp, which
-  // only costs delta bytes, never correctness.
+  // Conservative dirty stamp: every access that may mutate the stream
+  // marks it for the next delta checkpoint. Reads over-stamp, which only
+  // costs delta bytes, never correctness.
   s.dirty_stamp = ++mutation_epoch_;
   return s;
-}
-
-ReferenceStreams::Stream* ReferenceStreams::Prepare(Pid pid) {
-  return &GetStream(pid);
 }
 
 void ReferenceStreams::OpenAdd(Stream& s, FileId file) {

@@ -119,10 +119,9 @@ class ReferenceStreams {
     // Files with open_nesting > 0, sorted ascending — the deterministic
     // iteration order for distance-0 emission.
     std::vector<FileId> open_files;
-    // Last mutation epoch, for delta checkpoints. Stamped at the sequential
-    // entry points only (GetStream/Prepare/OnFork/OnExit): the parallel
-    // measure phase mutates streams Prepare already handed out, so the
-    // shared epoch counter is never touched off the sequential path.
+    // Last mutation epoch, for delta checkpoints. Stamped on every access
+    // that may mutate the stream: each reference (GetStream), the child's
+    // copy at fork, and the parent's merge at exit.
     uint64_t dirty_stamp = 0;
   };
 
@@ -151,27 +150,6 @@ class ReferenceStreams {
   // (quietly — no new observations; future parent references will see the
   // child's files), then discarded.
   void OnExit(Pid pid);
-
-  // --- batched ingest support ----------------------------------------------
-  //
-  // The sharded ingest pipeline resolves each reference's stream up front
-  // (sequentially — Prepare may create the stream) and then measures whole
-  // shards in parallel. Measure* touch only the given stream plus the
-  // immutable params, so concurrent calls on distinct streams are safe.
-
-  // Stream handle for `pid` (created if absent; honors the global-stream
-  // ablation). Pointers are stable across Prepare calls for other pids.
-  Stream* Prepare(Pid pid);
-
-  void MeasureBegin(Stream* s, FileId file, Time time,
-                    std::vector<DistanceObservation>* out) {
-    Reference(*s, file, time, /*keep_open=*/true, out);
-  }
-  void MeasurePoint(Stream* s, FileId file, Time time,
-                    std::vector<DistanceObservation>* out) {
-    Reference(*s, file, time, /*keep_open=*/false, out);
-  }
-  void MeasureEnd(Stream* s, FileId file) { EndOn(*s, file); }
 
   size_t stream_count() const { return streams_.size(); }
 

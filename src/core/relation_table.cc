@@ -148,63 +148,35 @@ int32_t RelationTable::FindSlot(FileId from, FileId to) const {
   return -1;
 }
 
-void RelationTable::Observe(FileId from, FileId to, double distance) {
-  ObserveHinted(from, to, distance, -1);
+void RelationTable::NoteStructure(FileId from, FileId removed, FileId added) {
+  if (removed != kInvalidFileId) {
+    RevRemove(from, removed);
+  }
+  Stamp(from);
+  RevAdd(from, added);
+  StampData(from);
 }
 
-void RelationTable::ObserveHinted(FileId from, FileId to, double distance, int32_t hint) {
+void RelationTable::Observe(FileId from, FileId to, double distance) {
   if (from == to) {
     return;
   }
   EnsureSize(from);
-  ++update_count_;
-  FoldObservation(from, to, distance, hint, update_count_, nullptr);
-}
-
-void RelationTable::NoteDataTouched(FileId from, StripeFoldLog* log) {
-  if (log == nullptr) {
-    StampData(from);
-  } else {
-    log->data_touched = true;
-  }
-}
-
-void RelationTable::NoteStructure(FileId from, FileId removed, FileId added,
-                                  StripeFoldLog* log) {
-  if (log == nullptr) {
-    if (removed != kInvalidFileId) {
-      RevRemove(from, removed);
-    }
-    Stamp(from);
-    RevAdd(from, added);
-    StampData(from);
-  } else {
-    log->rev_ops.push_back({from, removed, added});
-    log->data_touched = true;
-  }
-}
-
-void RelationTable::FoldObservation(FileId from, FileId to, double distance, int32_t hint,
-                                    uint64_t ordinal, StripeFoldLog* log) {
+  const uint64_t ordinal = ++update_count_;
   const double floored =
       distance > 0.0 ? distance : params_.geometric_zero_floor;
   const size_t base = static_cast<size_t>(from) * cap_;
   const uint32_t count = nb_count_[from];
   const FileId* ids = nb_id_.data() + base;
 
-  // Existing entry: fold in the new observation. A hint that still names
-  // `to` skips the membership scan (the batched ingest path pre-computes
-  // it in parallel); anything else — including hint == -1, since an
-  // earlier fold in the same batch may have inserted `to` — rescans. The
-  // scan is blocked: branchless selects inside each 8-wide block (-O3
-  // turns them into vector compares over the contiguous id stripe) with
-  // one well-predicted exit test per block, so an early hit doesn't pay
-  // for the whole stripe. Ids are unique within a list, so any match is
-  // the only match.
+  // Existing entry: fold in the new observation. The membership scan is
+  // blocked: branchless selects inside each 8-wide block (-O3 turns them
+  // into vector compares over the contiguous id stripe) with one
+  // well-predicted exit test per block, so an early hit doesn't pay for
+  // the whole stripe. Ids are unique within a list, so any match is the
+  // only match.
   int32_t slot = -1;
-  if (hint >= 0 && static_cast<uint32_t>(hint) < count && ids[hint] == to) {
-    slot = hint;
-  } else {
+  {
     uint32_t i = 0;
     for (; i + 8 <= count; i += 8) {
       int32_t block_hit = -1;
@@ -230,7 +202,7 @@ void RelationTable::FoldObservation(FileId from, FileId to, double distance, int
     // The new ordinal outruns the slot's mean stamp, so the cache line
     // goes stale with no extra store (see CachedMean).
     nb_upd_[s] = ordinal;
-    NoteDataTouched(from, log);
+    StampData(from);
     return;
   }
 
@@ -239,7 +211,7 @@ void RelationTable::FoldObservation(FileId from, FileId to, double distance, int
   if (count < static_cast<uint32_t>(cap_)) {
     WriteCandidate(base + count, to, cand_log, distance, ordinal);
     nb_count_[from] = count + 1;
-    NoteStructure(from, kInvalidFileId, to, log);
+    NoteStructure(from, kInvalidFileId, to);
     return;
   }
   if (count == 0) {
@@ -257,7 +229,7 @@ void RelationTable::FoldObservation(FileId from, FileId to, double distance, int
   if (dead >= 0) {
     const FileId removed = ids[dead];
     WriteCandidate(base + static_cast<size_t>(dead), to, cand_log, distance, ordinal);
-    NoteStructure(from, removed, to, log);
+    NoteStructure(from, removed, to);
     return;
   }
 
@@ -297,7 +269,7 @@ void RelationTable::FoldObservation(FileId from, FileId to, double distance, int
   if (worst_dist > candidate_dist) {
     const FileId removed = ids[worst];
     WriteCandidate(base + worst, to, cand_log, distance, ordinal);
-    NoteStructure(from, removed, to, log);
+    NoteStructure(from, removed, to);
     return;
   }
 
@@ -316,23 +288,7 @@ void RelationTable::FoldObservation(FileId from, FileId to, double distance, int
   if (ordinal - oldest_update > params_.aging_updates) {
     const FileId removed = ids[oldest];
     WriteCandidate(base + oldest, to, cand_log, distance, ordinal);
-    NoteStructure(from, removed, to, log);
-  }
-}
-
-void RelationTable::ApplyFoldLog(uint32_t stripe, const StripeFoldLog& log) {
-  for (const StripeFoldLog::RevOp& op : log.rev_ops) {
-    if (op.removed != kInvalidFileId) {
-      RevRemove(op.owner, op.removed);
-    }
-    Stamp(op.owner);
-    RevAdd(op.owner, op.added);
-  }
-  if (log.data_touched) {
-    if (stripe_stamp_.size() <= stripe) {
-      stripe_stamp_.resize(static_cast<size_t>(stripe) + 1, 0);
-    }
-    stripe_stamp_[stripe] = ++data_epoch_;
+    NoteStructure(from, removed, to);
   }
 }
 

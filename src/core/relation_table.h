@@ -112,73 +112,12 @@ class RelationTable {
     params_ = params;
   }
 
-  // Records an observation `distance` for the ordered pair (from -> to).
+  // Records an observation `distance` for the ordered pair (from -> to):
+  // folds it into an existing entry, appends it, or runs the replacement
+  // priority above. The observation's ordinal is the next update_count().
   void Observe(FileId from, FileId to, double distance);
 
-  // Observe with a slot hint from FindSlot(), taken at a moment when no
-  // table mutation has intervened for entries of `from` other than batched
-  // folds: a valid hint (same id still in that slot) skips the membership
-  // scan; a stale or absent hint falls back to the full scan, so the
-  // result is always identical to Observe().
-  void ObserveHinted(FileId from, FileId to, double distance, int32_t hint);
-
-  // --- stripe-sharded fold (parallel batched ingest) ------------------------
-  //
-  // The batched ingest path folds each 256-file stripe on its own worker:
-  // every slab write of FoldObservation(from, ...) lands in `from`'s slot
-  // range, so two observations race only if their `from` files share a
-  // stripe — and one worker owns all of a stripe's observations, applied
-  // in trace order. The pieces that cross stripes (the reverse index, the
-  // set/data epoch clocks) are deferred into a per-stripe log and replayed
-  // sequentially by ApplyFoldLog. See DESIGN.md §15 for why this yields
-  // byte-identical snapshots at any thread count.
-
-  // Cross-stripe side effects deferred by one stripe's fold.
-  struct StripeFoldLog {
-    struct RevOp {
-      FileId owner = kInvalidFileId;    // file whose list changed
-      FileId removed = kInvalidFileId;  // replaced neighbor (invalid = none)
-      FileId added = kInvalidFileId;    // inserted neighbor
-    };
-    std::vector<RevOp> rev_ops;  // structural list changes, in trace order
-    bool data_touched = false;   // any slab write happened in this stripe
-  };
-
-  // Core of ObserveHinted with the global update ordinal passed in.
-  // log == nullptr applies all side effects immediately (the serial path).
-  // With a log, slab writes stay confined to `from`'s slot range and the
-  // cross-stripe effects are recorded for ApplyFoldLog. Caller contract for
-  // the parallel mode: EnsureCapacity() already covers every id involved,
-  // from != to, and ordinals are the observation's 1-based position in the
-  // global trace appended to the prior update_count().
-  void FoldObservation(FileId from, FileId to, double distance, int32_t hint,
-                       uint64_t ordinal, StripeFoldLog* log);
-
-  // Replays one stripe's deferred effects. Call sequentially, in ascending
-  // stripe order, after all workers have joined.
-  void ApplyFoldLog(uint32_t stripe, const StripeFoldLog& log);
-
-  // Pre-sizes the slab and side tables to cover ids [0, max_id]. The
-  // parallel fold requires it: workers must never resize shared arrays.
-  void EnsureCapacity(FileId max_id) { EnsureSize(max_id); }
-
-  // Prefetches `from`'s id/update rows (the fold loop hides slab-row
-  // latency by prefetching the next observation's target).
-  void PrefetchRow(FileId from) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (from < nb_count_.size()) {
-      const size_t base = static_cast<size_t>(from) * cap_;
-      __builtin_prefetch(nb_id_.data() + base, 1, 3);
-      __builtin_prefetch(nb_upd_.data() + base, 1, 1);
-    }
-#else
-    (void)from;
-#endif
-  }
-
-  // Slot index of `to` in `from`'s list, or -1 when untracked. Pure read —
-  // safe to call concurrently with other reads (the parallel ingest
-  // measure phase uses it to pre-compute fold hints).
+  // Slot index of `to` in `from`'s list, or -1 when untracked.
   int32_t FindSlot(FileId from, FileId to) const;
 
   // Neighbor list of `from` (unordered). Empty for unknown files.
@@ -280,8 +219,8 @@ class RelationTable {
   // replayed from the WAL after recovery break ties exactly as the
   // never-crashed instance would have. The state never advances: tie
   // decisions are a pure function (TieDraw) of this key and the
-  // observation's global ordinal, which is what lets per-stripe workers
-  // break ties identically to serial ingest without sharing a generator.
+  // observation's global ordinal, so the snapshot bytes do not depend on
+  // how many draws came before.
   void GetRngState(uint64_t out[4]) const { rng_.GetState(out); }
   void SetRngState(const uint64_t in[4]) {
     rng_.SetState(in);
@@ -297,14 +236,13 @@ class RelationTable {
   void RevAdd(FileId owner, FileId neighbor);
   void RevRemove(FileId owner, FileId neighbor);
 
-  // Fold helpers: apply (serial) or defer (parallel) the cross-stripe
-  // effects of a slab mutation under `from`.
-  void NoteDataTouched(FileId from, StripeFoldLog* log);
-  void NoteStructure(FileId from, FileId removed, FileId added, StripeFoldLog* log);
+  // Bookkeeping for a structural change to `from`'s list: `added`
+  // replaced `removed` (kInvalidFileId when appended).
+  void NoteStructure(FileId from, FileId removed, FileId added);
 
   // Stateless tie-break draw for the priority-2 reservoir: a pure hash of
   // the never-advancing key, the observation's global ordinal, and the
-  // tying slot index — identical under serial and sharded folds.
+  // tying slot index.
   uint64_t TieDraw(uint64_t ordinal, uint32_t slot) const;
   void RefreshTieKey();
 

@@ -177,17 +177,15 @@ wire::ControlResponse HoardService::Dispatch(const wire::ControlRequest& request
   return response;
 }
 
-void HoardService::DeliverToLane(TenantId tenant, TenantLane* lane, Connection* c,
-                                 Shard* shard) {
+void HoardService::DeliverToLane(TenantLane* lane, Connection* c, Shard* shard) {
+  // The tenant's sink applies each event as it arrives, so the frame is
+  // folded here, on the shard that decoded it, in parallel with the other
+  // shards' tenants.
   const std::vector<InternedEvent>& events = shard->arena.events();
   Observer* observer = lane->observer.get();
   for (const InternedEvent& event : events) {
     observer->OnInternedEvent(event);
   }
-  // Apply the frame here, on the shard that decoded it: measure and fold
-  // run in parallel across shards instead of queueing for the next
-  // exclusive Tick or checkpoint to flush them on shard 0.
-  router_.FlushIngest(tenant);
   events_ingested_.fetch_add(events.size(), std::memory_order_relaxed);
   if (config_.record_merge_log && !events.empty()) {
     lane->merge_log.push_back({c->id, events.front().seq, static_cast<uint32_t>(events.size())});
@@ -210,7 +208,7 @@ bool HoardService::DeliverEvents(Shard* shard, Connection* c, TenantId tenant,
     TenantLane* lane = FindLane(tenant);
     if (lane != nullptr && router_.TenantResident(tenant)) {
       std::lock_guard<std::mutex> lock(lane->mu);
-      DeliverToLane(tenant, lane, c, shard);
+      DeliverToLane(lane, c, shard);
       return true;
     }
   }
@@ -220,7 +218,7 @@ bool HoardService::DeliverEvents(Shard* shard, Connection* c, TenantId tenant,
   std::unique_lock<std::shared_mutex> plane(plane_mu_);
   TenantLane* lane = EnsureLane(tenant);
   std::lock_guard<std::mutex> lock(lane->mu);
-  DeliverToLane(tenant, lane, c, shard);
+  DeliverToLane(lane, c, shard);
   return true;
 }
 
@@ -335,9 +333,8 @@ void HoardService::DrainMailbox(Shard* shard) {
 
 void HoardService::ReadBurst(Shard* shard, Connection* c) {
   // Read and process until the socket runs dry or the connection hits
-  // its buffer cap. Frames dispatch synchronously, so the ingest
-  // batcher's backpressure stalls this read loop — and, through the
-  // kernel socket buffer, the sender.
+  // its buffer cap. Frames dispatch synchronously, so a slow fold stalls
+  // this read loop — and, through the kernel socket buffer, the sender.
   char* buf = shard->read_buf.data();
   const size_t buf_size = shard->read_buf.size();
   while (c->decoder.buffered() < config_.conn_buffer_limit) {

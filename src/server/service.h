@@ -1,11 +1,10 @@
 // The hoard service: TenantRouter behind a socket, served by a sharded
 // I/O plane.
 //
-// PR 6 built the tenant-routed server plane as an in-process library and
-// put it behind one poll()-driven thread; PR 8 made the ingest and
-// clustering planes underneath scale. This version removes the last
-// single-thread funnel — the wire itself — by sharding connections over
-// N I/O worker threads (io_threads, default SEER_THREADS):
+// The tenant-routed server plane (tenant_router.h) sits behind the wire,
+// and the wire is sharded: connections are spread over N I/O worker
+// threads (io_threads, default SEER_THREADS), so no single thread funnels
+// every frame:
 //
 //   * Shard 0 is the Serve() thread. It owns the listening socket, the
 //     router's control plane (every control verb and Tick), and its own
@@ -36,14 +35,13 @@
 // no per-frame payload string, no per-event path strings; each distinct
 // path is interned into GlobalPaths() once, at its dictionary
 // definition. Decoded events pass through the tenant's own Observer into
-// SinkFor(tenant), whose DurableCorrelator appends them to the WAL and
-// queues them in its ingest batch; the shard then applies that batch
-// (measure + fold) itself via TenantRouter::FlushIngest before it lets go
-// of the tenant's lane. So each frame is applied on the shard that decoded
-// it, in parallel with the other shards' tenants, and Tick, checkpoints
-// and control verbs on shard 0 find the batches empty. Responses are
-// batched per read burst and flushed with one gathered write
-// (net::WriteVec).
+// SinkFor(tenant), whose DurableCorrelator applies each event to the
+// correlator (measure + fold) and appends it to the WAL. So each frame is
+// applied on the shard that decoded it, under the tenant's lane, in
+// parallel with the other shards' tenants, and Tick, checkpoints and
+// control verbs on shard 0 never find events waiting to be applied.
+// Responses are batched per read burst and flushed with one gathered
+// write (net::WriteVec).
 //
 // Backpressure is unchanged: frames dispatch synchronously on the owning
 // shard, so a slow tenant stalls only that shard's read loop for that
@@ -221,9 +219,9 @@ class HoardService {
   void ProcessFrames(Shard* shard, Connection* c);
   // One kEvents frame. False on protocol error (caller closes `c`).
   bool DeliverEvents(Shard* shard, Connection* c, TenantId tenant, std::string_view payload);
-  // Events -> observer -> the tenant's ingest batch, then the batch is
-  // folded, all under the lane mutex (plane lock already held).
-  void DeliverToLane(TenantId tenant, TenantLane* lane, Connection* c, Shard* shard);
+  // Events -> observer -> the tenant's sink, which measures and folds each
+  // one, all under the lane mutex (plane lock already held).
+  void DeliverToLane(TenantLane* lane, Connection* c, Shard* shard);
   // Control verb execution; takes the exclusive plane lock. Runs on
   // shard 0 (or inline when io_threads == 1).
   wire::ControlResponse Dispatch(const wire::ControlRequest& request);

@@ -55,13 +55,6 @@ StatusOr<Correlator*> TenantRouter::CorrelatorFor(TenantId tenant) {
   return &t->durable->correlator();
 }
 
-void TenantRouter::FlushIngest(TenantId tenant) {
-  Tenant* t = FindTenant(tenant);
-  if (t != nullptr && t->durable != nullptr) {
-    t->durable->FlushIngest();
-  }
-}
-
 ReferenceSink* TenantRouter::Route(TenantId tenant) {
   Tenant* t = ResidentTenant(tenant);
   if (t == nullptr) {

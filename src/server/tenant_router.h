@@ -12,8 +12,8 @@
 //     router resolves every callback to the tenant's DurableCorrelator,
 //     creating the tenant on first reference and transparently restoring
 //     it if it was evicted.
-//   * One shared ThreadPool runs every tenant's ingest measurement,
-//     cluster scoring, recovery decode, and snapshot encode. Pools are
+//   * One shared ThreadPool runs every tenant's cluster scoring, hoard
+//     fill, recovery decode, and snapshot encode. Pools are
 //     never created per tenant; contended dispatches fall back to inline
 //     execution (see ThreadPool), so results are unchanged.
 //   * Tick(now) drives the control plane: harvest finished background
@@ -41,17 +41,15 @@
 // the sharded transport (service.h) relies on, under external locking:
 //
 //   Holding a shared (reader) lock that excludes every other router
-//   method, multiple threads may concurrently (a) call TenantResident(),
-//   (b) deliver sink callbacks to *distinct already-resident* tenants,
-//   and (c) call FlushIngest() on those same tenants — provided each
-//   tenant's callbacks and flushes are additionally serialized by a
-//   per-tenant lock. So delivery under the shared side also folds:
-//   distinct tenants measure and fold their batches concurrently, each on
-//   the thread that delivered it, sharing the router's pool (whose
-//   contended dispatches run inline). This is sound because a routed
-//   callback or a flush on a resident tenant mutates only that tenant's
-//   own state (correlator, WAL, batcher, its accounting mark) plus the LRU
-//   clock, which is atomic (touch_seq_/last_touch_seq are relaxed
+//   method, multiple threads may concurrently (a) call TenantResident()
+//   and (b) deliver sink callbacks to *distinct already-resident*
+//   tenants — provided each tenant's callbacks are additionally
+//   serialized by a per-tenant lock. A callback applies its event to the
+//   tenant's correlator (measure and fold) before it returns, so distinct
+//   tenants fold concurrently, each on the thread that delivered it. This
+//   is sound because a routed callback on a resident tenant mutates only
+//   that tenant's own state (correlator, WAL, its accounting mark) plus
+//   the LRU clock, which is atomic (touch_seq_/last_touch_seq are relaxed
 //   atomics; the eviction scan tolerates torn ordering), and because
 //   tenants_ map nodes are pointer-stable and no method that inserts,
 //   restores, or evicts runs while the shared lock is held. Anything that
@@ -161,13 +159,6 @@ class TenantRouter {
   // the caller changes through the pointer before that pass; a caller
   // that keeps mutating across Ticks calls this again.
   StatusOr<Correlator*> CorrelatorFor(TenantId tenant);
-
-  // Applies the tenant's pending ingest batch (measure + fold) on the
-  // calling thread. A no-op for unknown or evicted tenants. The sharded
-  // transport calls it after every delivered frame, under the threading
-  // exception above, so the fold runs on the I/O shard that decoded the
-  // frame and Tick, checkpoints and control verbs find the batch empty.
-  void FlushIngest(TenantId tenant);
 
   // Control-plane heartbeat; call from the transport's idle loop. Runs
   // the checkpoint scheduler, due hoard refills, and the eviction pass.

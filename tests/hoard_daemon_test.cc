@@ -229,5 +229,36 @@ TEST(HoardDaemonCheckpoint, DaemonHarvestsCheckpointStats) {
   EXPECT_TRUE(durable.store().Verify().ok());
 }
 
+// A refill chooses from everything already delivered to the durable sink:
+// the sink applies each event before it returns, so no event can still be
+// waiting when the daemon reads the correlator.
+TEST(HoardDaemonCheckpoint, RefillSeesEveryDeliveredEvent) {
+  RealFs fs;
+  const std::string dir = ::testing::TempDir() + "seer_daemon_refill_sees";
+  std::filesystem::remove_all(dir);
+  auto opened = DurableCorrelator::Open(&fs, dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  DurableCorrelator& durable = **opened;
+
+  Observer observer(ObserverConfig{}, nullptr);
+  HoardManager manager(1'000'000);
+  MissLog miss_log;
+  HoardDaemon::Config config;
+  config.interval = kMicrosPerHour;
+  config.durable = &durable;
+  HoardDaemon daemon(
+      &durable.correlator(), &observer, &manager, &miss_log,
+      [](const std::vector<std::string>&) {}, [](PathId) -> uint64_t { return 10; },
+      config);
+
+  durable.OnReference(Ref(1, RefKind::kPoint, "/seen/a", 1));
+  durable.OnReference(Ref(1, RefKind::kPoint, "/seen/b", 2));
+  const HoardSelection selection = daemon.ForceRefill(3);
+  EXPECT_EQ(selection.files.size(), 2u);
+  EXPECT_TRUE(selection.Contains("/seen/a"));
+  EXPECT_TRUE(selection.Contains("/seen/b"));
+  ASSERT_TRUE(durable.FinishCheckpoint().ok());
+}
+
 }  // namespace
 }  // namespace seer

@@ -1,9 +1,9 @@
 // Serial-vs-batched ingest equivalence.
 //
-// The sharded ingest pipeline (Correlator::IngestBatch) must produce state
-// bit-identical to one-at-a-time serial sink delivery at any thread count
-// and any batch size: same relation table (update counter, aging, RNG
-// tie-break stream), same reference streams, same file table. The binary
+// The batched ingest path (Correlator::IngestBatch: segment, measure, fold
+// in trace order) must produce state bit-identical to one-at-a-time serial
+// sink delivery at any batch size: same relation table (update counter,
+// aging, tie-break draws), same reference streams, same file table. The binary
 // snapshot covers all of it, so equality of EncodeSnapshot() bytes is the
 // strongest practical assertion. Traces here are randomized with
 // fork/exit/delete/rename/exclude interleavings to exercise every segment
@@ -155,11 +155,10 @@ TEST(IngestEquivalence, BatchedMatchesSerialAcrossThreadCounts) {
   ApplySerial(&serial, events);
   const std::string want = serial.EncodeSnapshot();
 
-  for (const int threads : {1, 2, 4, 8}) {
+  for (const size_t batch : {size_t{3}, size_t{31}, size_t{256}, size_t{4096}}) {
     Correlator batched(ChurnParams());
-    batched.SetIngestThreads(threads);
-    ApplyBatched(&batched, events, 256);
-    EXPECT_EQ(want, batched.EncodeSnapshot()) << "threads=" << threads;
+    ApplyBatched(&batched, events, batch);
+    EXPECT_EQ(want, batched.EncodeSnapshot()) << "batch=" << batch;
     EXPECT_EQ(serial.references_processed(), batched.references_processed());
   }
 }
@@ -173,7 +172,6 @@ TEST(IngestEquivalence, BatchedMatchesSerialAcrossBatchSizes) {
 
   for (const size_t batch : {size_t{1}, size_t{7}, size_t{64}, size_t{4096}}) {
     Correlator batched(ChurnParams());
-    batched.SetIngestThreads(4);
     ApplyBatched(&batched, events, batch);
     EXPECT_EQ(want, batched.EncodeSnapshot()) << "batch=" << batch;
   }
@@ -190,7 +188,6 @@ TEST(IngestEquivalence, ManySeedsManyConfigs) {
       ApplySerial(&serial, events);
 
       Correlator batched(params);
-      batched.SetIngestThreads(8);
       ApplyBatched(&batched, events, 128);
       EXPECT_EQ(serial.EncodeSnapshot(), batched.EncodeSnapshot())
           << "seed=" << seed << " per_process=" << per_process;
@@ -211,7 +208,6 @@ TEST(IngestEquivalence, AlternateDistanceAndMeanKinds) {
       ApplySerial(&serial, events);
 
       Correlator batched(params);
-      batched.SetIngestThreads(4);
       ApplyBatched(&batched, events, 200);
       EXPECT_EQ(serial.EncodeSnapshot(), batched.EncodeSnapshot())
           << "distance_kind=" << static_cast<int>(dk)
@@ -264,13 +260,12 @@ TEST(IngestEquivalence, ResurrectionWithinOneBatch) {
   ApplySerial(&serial, trace_serial);
 
   Correlator batched(ChurnParams());
-  batched.SetIngestThreads(4);
   // The whole trace as a single batch: the only cuts are the delete barrier
   // and the resurrection.
   batched.IngestBatch(trace_batched.data(), trace_batched.size());
 
   EXPECT_EQ(serial.EncodeSnapshot(), batched.EncodeSnapshot());
-  EXPECT_GE(batched.ingest_stats().segments, 3u);  // pre-delete, pre-resurrect, rest
+  EXPECT_GE(batched.ingest_stats().serial_folds, 3u);  // pre-delete, pre-resurrect, rest
 }
 
 // Fork/exit under batching: the child's inherited history and the exit
@@ -318,7 +313,6 @@ TEST(IngestEquivalence, ForkMergeUnderBatching) {
 
     for (const size_t batch : {size_t{2}, size_t{5}, events.size()}) {
       Correlator batched(ChurnParams());
-      batched.SetIngestThreads(4);
       ApplyBatched(&batched, events, batch);
       EXPECT_EQ(serial.EncodeSnapshot(), batched.EncodeSnapshot())
           << "round=" << round << " batch=" << batch;
@@ -333,7 +327,6 @@ TEST(IngestEquivalence, BatchingSinkMatchesSerial) {
   ApplySerial(&serial, events);
 
   Correlator batched(ChurnParams());
-  batched.SetIngestThreads(4);
   {
     // Tiny capacity so the sink flushes many partial batches; the tail
     // flush rides the destructor.
@@ -353,7 +346,6 @@ TEST(IngestEquivalence, AsyncPipelineMatchesSerial) {
 
   // Small queue: the worker repeatedly drains full rings as batches.
   AsyncCorrelator async(ChurnParams(), 0x5ee8, /*queue_capacity=*/64);
-  async.SetIngestThreads(4);
   ApplySerial(&async, events);  // producer side of the pipeline
   const std::string got =
       async.Query([](const Correlator& c) { return c.EncodeSnapshot(); });
@@ -376,7 +368,6 @@ TEST(IngestEquivalence, IngestStatsAccounting) {
   }
 
   Correlator batched(ChurnParams());
-  batched.SetIngestThreads(2);
   ApplyBatched(&batched, events, 100);
   const IngestStats& stats = batched.ingest_stats();
   EXPECT_EQ(10u, stats.batches);
@@ -384,19 +375,16 @@ TEST(IngestEquivalence, IngestStatsAccounting) {
   // Invalid references (none here: all paths intern) all reach segments.
   EXPECT_EQ(refs, stats.refs);
   EXPECT_GE(stats.segments, 1u);
-  EXPECT_GE(stats.shards, stats.segments);  // at least one shard per segment
-  EXPECT_GE(stats.max_shard_refs, 1u);
 }
 
-// --- stripe-sharded fold -----------------------------------------------------
+// --- stripe boundaries ---------------------------------------------------------
 //
-// The fold phase partitions observations by the relation table's 256-file
-// stripes and folds each stripe on its own worker. These traces span
-// several stripes (file ids are assigned in intern order, so referencing
-// `files` distinct paths up front populates ids [0, files)), keep barriers
-// rare enough that segments clear the parallel-fold cutoff, and still
-// include every barrier kind plus deletes/renames of files sitting right
-// at stripe boundaries.
+// Traces that span several of the relation table's 256-file stripes (file
+// ids are assigned in intern order, so referencing `files` distinct paths
+// up front populates ids [0, files)), with long barrier-free runs, every
+// barrier kind, and deletes/renames of files sitting right at stripe
+// boundaries: long segments and cross-stripe pairs for the fold and the
+// per-stripe delta stamps, run here as batch-size cases.
 std::vector<IngestEvent> StripeTrace(uint32_t seed, size_t count, size_t files) {
   std::mt19937 rng(seed);
   std::vector<IngestEvent> events;
@@ -477,24 +465,17 @@ std::vector<IngestEvent> StripeTrace(uint32_t seed, size_t count, size_t files) 
 }
 
 TEST(IngestEquivalence, StripeShardedFoldMatchesSerialAcrossThreadCounts) {
-  // 640 files = 2.5 stripes; long barrier-free runs so segments clear the
-  // parallel-fold cutoff.
+  // 640 files = 2.5 stripes; long barrier-free runs make long segments.
   const std::vector<IngestEvent> events = StripeTrace(0x57121BE, 4000, 640);
 
   Correlator serial(ChurnParams());
   ApplySerial(&serial, events);
   const std::string want = serial.EncodeSnapshot();
 
-  for (const int threads : {1, 2, 4, 8}) {
+  for (const size_t batch : {size_t{64}, size_t{512}, size_t{1024}, size_t{4096}}) {
     Correlator batched(ChurnParams());
-    batched.SetIngestThreads(threads);
-    ApplyBatched(&batched, events, 4096);
-    EXPECT_EQ(want, batched.EncodeSnapshot()) << "threads=" << threads;
-    if (threads > 1) {
-      // The point of the suite: the sharded fold actually ran.
-      EXPECT_GT(batched.ingest_stats().parallel_folds, 0u) << "threads=" << threads;
-      EXPECT_GT(batched.ingest_stats().fold_stripes, 1u) << "threads=" << threads;
-    }
+    ApplyBatched(&batched, events, batch);
+    EXPECT_EQ(want, batched.EncodeSnapshot()) << "batch=" << batch;
   }
 }
 
@@ -508,7 +489,6 @@ TEST(IngestEquivalence, StripeShardedFoldAcrossBatchSizesAndSeeds) {
 
     for (const size_t batch : {size_t{512}, size_t{4096}}) {
       Correlator batched(ChurnParams());
-      batched.SetIngestThreads(8);
       ApplyBatched(&batched, events, batch);
       EXPECT_EQ(want, batched.EncodeSnapshot()) << "seed=" << seed << " batch=" << batch;
     }
@@ -516,9 +496,9 @@ TEST(IngestEquivalence, StripeShardedFoldAcrossBatchSizesAndSeeds) {
 }
 
 // Observations straddling one stripe boundary, with the boundary files
-// themselves deleted and renamed mid-trace: the from-file picks the worker,
-// the to-file lives one stripe over, and the replacement scans read
-// liveness flags of cross-stripe neighbors.
+// themselves deleted and renamed mid-trace: the from-file and the to-file
+// live in different stripes, and the replacement scans read liveness flags
+// of cross-stripe neighbors.
 TEST(IngestEquivalence, StripeBoundaryStraddleWithBarriers) {
   std::vector<IngestEvent> events;
   Time time = 0;
@@ -556,12 +536,10 @@ TEST(IngestEquivalence, StripeBoundaryStraddleWithBarriers) {
   ApplySerial(&serial, events);
   const std::string want = serial.EncodeSnapshot();
 
-  for (const int threads : {2, 8}) {
+  for (const size_t batch : {size_t{97}, events.size()}) {
     Correlator batched(ChurnParams());
-    batched.SetIngestThreads(threads);
-    batched.IngestBatch(events.data(), events.size());
-    EXPECT_EQ(want, batched.EncodeSnapshot()) << "threads=" << threads;
-    EXPECT_GT(batched.ingest_stats().parallel_folds, 0u);
+    ApplyBatched(&batched, events, batch);
+    EXPECT_EQ(want, batched.EncodeSnapshot()) << "batch=" << batch;
   }
 }
 

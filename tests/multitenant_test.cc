@@ -365,6 +365,34 @@ TEST(TenantRouter, HoardDaemonRefillsOnRouterCadence) {
   EXPECT_GT(stats->memory_bytes, 0u);
 }
 
+// A Tick's refill chooses from every event already routed to the tenant.
+// Tick(1) runs before tenant 1's first checkpoint is due (its stagger
+// phase), so nothing but the sink itself can have applied the events.
+TEST(TenantRouter, RefillSeesRoutedEvents) {
+  MemFs fs;
+  TenantRouterConfig config = BaseConfig(2);
+  config.hoard_budget_bytes = 1 << 20;
+  config.size_of = [](PathId) -> uint64_t { return 4096; };
+  TenantRouter router(&fs, "/srv", config);
+
+  ReferenceSink* sink = router.SinkFor(1);
+  for (int i = 0; i < 20; ++i) {
+    FileReference ref;
+    ref.pid = 1;
+    ref.kind = RefKind::kPoint;
+    ref.path = P("/routed/f" + std::to_string(i % 5));
+    ref.time = (i + 1) * kMicrosPerSecond;
+    sink->OnReference(ref);
+  }
+  ASSERT_TRUE(router.Tick(1).ok());
+
+  const auto stats = router.Stats(1);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(1u, stats->refills);
+  EXPECT_EQ(5u, stats->files);
+  EXPECT_EQ(5u, stats->hoard_files);
+}
+
 TEST(TenantRouter, TenantDirectoryLayout) {
   EXPECT_EQ("/srv/tenant-00000007", SnapshotStore::TenantDirectory("/srv", 7));
   EXPECT_EQ("/srv/tenant-12345678", SnapshotStore::TenantDirectory("/srv", 12345678));

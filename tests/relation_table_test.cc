@@ -233,18 +233,17 @@ TEST(RelationTable, FindSlotAndHintedObserve) {
   EXPECT_EQ(h.table().FindSlot(a, h.Id("unknown")), -1);
   EXPECT_EQ(h.table().FindSlot(h.Id("nolist"), b), -1);
 
-  // A valid hint folds into the right entry...
-  h.table().ObserveHinted(a, b, 8.0, 0);
+  // Each fold lands in the entry FindSlot names, whichever slot that is;
+  // a brand-new pair is appended.
+  h.table().Observe(a, b, 8.0);
   EXPECT_NEAR(h.table().DistanceOrNegative(a, b), 4.0, 1e-9);  // sqrt(2*8)
-  // ...and a stale or absent hint falls back to the scan with the same
-  // result (the batched fold relies on this when an earlier fold in the
-  // batch moved entries around).
-  h.table().ObserveHinted(a, c, 12.0, 0);    // wrong slot (points at b)
+  h.table().Observe(a, c, 12.0);
   EXPECT_NEAR(h.table().DistanceOrNegative(a, c), 6.0, 1e-9);  // sqrt(3*12)
-  h.table().ObserveHinted(a, b, 32.0, 99);   // out of range
+  h.table().Observe(a, b, 32.0);
   EXPECT_NEAR(h.table().DistanceOrNegative(a, b), 8.0, 1e-9);  // cbrt(2*8*32)
-  h.table().ObserveHinted(a, h.Id("d"), 1.0, 1);  // hint for a brand-new pair
+  h.table().Observe(a, h.Id("d"), 1.0);
   EXPECT_GT(h.table().DistanceOrNegative(a, h.Id("d")), 0.0);
+  EXPECT_EQ(h.table().FindSlot(a, h.Id("d")), 2);
 }
 
 // The lazy mean cache must be invalidated when an entry's accumulators

@@ -11,9 +11,8 @@ Two modes:
       everything else is informational. Exits 1 on any regression.
 
   gate FILE.json [FILE.json ...]
-      Checks the intra-file scaling gates this repo commits to:
-        overhead:          ingest refs/s at 4 threads >= 2.5x serial,
-                           slab ns/obs <= legacy ns/obs
+      Checks the intra-file gates this repo commits to:
+        overhead:          slab ns/obs <= legacy ns/obs (hosts with >= 8 CPUs)
         clustering_scale:  parallel speedup > 1.0 at the largest N
         multitenant:       fleet refs/s at 4 threads >= serial (warn-only)
         service_scale:     wire refs/s at 4 I/O threads >= 2x single-thread;
@@ -41,9 +40,9 @@ META_KEYS = {
     "host_cpus", "seer_threads", "scaling_valid", "bench", "transport",
     "threads", "files", "references", "refs", "streams", "tenants",
     "refs_per_tenant", "total_refs", "queue_capacity", "encode_threads",
-    "clusters", "touched", "segments", "shards", "batches", "barriers",
-    "frames_received", "events_ingested", "parallel_folds", "fold_stripes",
-    "max_shard_refs", "dirty_files", "files_rescored", "budget_bytes",
+    "clusters", "touched", "segments", "batches", "barriers",
+    "frames_received", "events_ingested", "dirty_files", "files_rescored",
+    "budget_bytes",
     "dirty_clusters", "reused_aggregates", "touched_files",
 }
 
@@ -149,20 +148,13 @@ def sweep_rate(rows, threads, key):
 
 
 def gate_overhead(doc, failures):
+    # The bench no longer sweeps threads, so it records no scaling_valid
+    # flag. The slab comparison is single-threaded, but the two layouts
+    # sit within a few percent of each other and flap on narrower shared
+    # hosts, so it runs where it always ran: hosts with >= 8 CPUs.
     host_cpus = doc.get("host_cpus", 1)
-    ingest = doc.get("ingest", {})
-    if host_cpus >= 4 and doc.get("scaling_valid", False):
-        rows = ingest.get("threads", [])
-        serial = sweep_rate(rows, 1, "refs_per_sec")
-        wide = sweep_rate(rows, 4, "refs_per_sec")
-        if serial > 0 and wide < 2.5 * serial:
-            failures.append(
-                f"overhead: ingest at 4 threads is {wide / serial:.2f}x serial "
-                f"({wide:.0f} vs {serial:.0f} refs/s), gate requires >= 2.5x")
-        else:
-            print(f"  PASS ingest 4t scaling: {wide / serial:.2f}x serial"
-                  if serial > 0 else "  SKIP ingest gate: no serial row")
-        layout = ingest.get("neighbor_layout", {})
+    if host_cpus >= 8:
+        layout = doc.get("ingest", {}).get("neighbor_layout", {})
         legacy = layout.get("legacy_ns_per_obs", 0.0)
         slab = layout.get("slab_ns_per_obs", 0.0)
         if legacy > 0 and slab > legacy:
@@ -172,9 +164,7 @@ def gate_overhead(doc, failures):
         elif legacy > 0:
             print(f"  PASS slab layout: {slab:.1f} ns/obs <= legacy {legacy:.1f}")
     else:
-        print(f"  SKIPPED overhead scaling gates: host_cpus={host_cpus} "
-              f"(< 4) or scaling_valid={doc.get('scaling_valid')} — "
-              "multi-thread numbers measure oversubscription on this host")
+        print(f"  SKIPPED overhead slab gate: host_cpus={host_cpus} (< 8)")
 
 
 def gate_clustering(doc, failures):

@@ -478,16 +478,11 @@ int Replay(int argc, char** argv, int start) {
   const SeerParams params = ParamsFromFlagOrDie(argc, argv, start);
   const ObserverConfig observer_config = ControlFromFlagOrDie(argc, argv, start);
 
-  const int threads = ThreadsFlagOrDie(argc, argv, start);
-
   Observer observer(observer_config, nullptr);
   Correlator correlator(params);
-  if (threads > 0) {
-    correlator.SetIngestThreads(threads);
-  }
-  // Replay through the batching sink: distance measurement for each batch
-  // is sharded across process streams and measured in parallel, and the
-  // learned state is bit-identical to serial delivery at any thread count.
+  // Replay through the batching sink, so --stats can split the ingest time
+  // into measure and fold; the learned state is bit-identical to
+  // delivering each event straight to the correlator.
   BatchingSink batching(&correlator);
   observer.set_sink(&batching);
   size_t events = 0;
@@ -520,22 +515,19 @@ int Replay(int argc, char** argv, int start) {
   if (HasFlag(argc, argv, start, "--stats")) {
     const IngestStats& is = correlator.ingest_stats();
     const double secs = replay_ms / 1000.0;
-    std::printf("ingest: %d thread%s, %.2f ms", correlator.ingest_threads(),
-                correlator.ingest_threads() == 1 ? "" : "s", replay_ms);
+    std::printf("ingest: %.2f ms", replay_ms);
     if (secs > 0.0) {
       std::printf(" (%.0f refs/sec)", static_cast<double>(is.refs) / secs);
     }
     std::printf("\n");
     std::printf("  batches:        %llu\n", static_cast<unsigned long long>(is.batches));
-    std::printf("  segments:       %llu\n", static_cast<unsigned long long>(is.segments));
-    std::printf("  shards:         %llu (%.1f per segment)\n",
-                static_cast<unsigned long long>(is.shards),
-                is.segments > 0 ? static_cast<double>(is.shards) / is.segments : 0.0);
+    std::printf("  segments:       %llu (%.1f refs per segment)\n",
+                static_cast<unsigned long long>(is.segments),
+                is.segments > 0 ? static_cast<double>(is.refs) / is.segments : 0.0);
     std::printf("  barriers:       %llu\n", static_cast<unsigned long long>(is.barriers));
-    std::printf("  max shard refs: %llu\n", static_cast<unsigned long long>(is.max_shard_refs));
-    // Phase split: measure (parallel per-stream distance scans) vs fold
-    // (stripe-sharded slab accumulation). The remainder of the wall time is
-    // trace parsing and sink plumbing outside the correlator.
+    // Phase split: measure (per-stream distance scans) vs fold (slab
+    // accumulation). The remainder of the wall time is trace parsing and
+    // sink plumbing outside the correlator.
     const double wall_us = replay_ms * 1000.0;
     const double measure_ms = static_cast<double>(is.measure_us) / 1000.0;
     const double fold_ms = static_cast<double>(is.fold_us) / 1000.0;
@@ -543,10 +535,6 @@ int Replay(int argc, char** argv, int start) {
                 wall_us > 0.0 ? 100.0 * static_cast<double>(is.measure_us) / wall_us : 0.0);
     std::printf("  fold:           %.2f ms (%.0f%% of wall)\n", fold_ms,
                 wall_us > 0.0 ? 100.0 * static_cast<double>(is.fold_us) / wall_us : 0.0);
-    std::printf("  folds:          %llu sharded, %llu serial (%llu stripe tasks)\n",
-                static_cast<unsigned long long>(is.parallel_folds),
-                static_cast<unsigned long long>(is.serial_folds),
-                static_cast<unsigned long long>(is.fold_stripes));
   }
 
   if (const char* save_path = FlagValue(argc, argv, start, "--save")) {
@@ -1563,18 +1551,16 @@ const std::vector<Subcommand>& Commands() {
        GenTrace},
       {"stats", "stats TRACE",
        "Per-operation, per-status, and per-file statistics for a trace.\n", Stats},
-      {"replay", "replay TRACE [--params FILE] [--control FILE] [--threads K] [--stats] [--save FILE]",
+      {"replay", "replay TRACE [--params FILE] [--control FILE] [--stats] [--save FILE]",
        "Replay a trace through the observer and correlator (simulation\n"
        "mode), print what was learned, optionally save the database.\n"
-       "Ingest runs through the batched pipeline: distance measurement is\n"
-       "sharded by process stream and measured in parallel; the learned\n"
-       "state is bit-identical to serial ingest at any thread count.\n\n"
+       "Ingest is serial and batched: references wait in segments cut at\n"
+       "fork/exit/delete/rename/exclude events, and each segment is\n"
+       "measured, then folded in trace order.\n\n"
        "  --params FILE   correlator parameters\n"
        "  --control FILE  observer control file\n"
-       "  --threads K     measure-phase threads (default: SEER_THREADS,\n"
-       "                  else all cores); --threads=K is accepted too\n"
        "  --stats         print ingest statistics (refs/sec, batches,\n"
-       "                  segments, shards, barriers)\n"
+       "                  segments, barriers, measure and fold time)\n"
        "  --save FILE     save the learned database as a snapshot file, the\n"
        "                  DB argument of clusters/cluster/hoard/suggest-reorg\n",
        Replay},
