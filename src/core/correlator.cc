@@ -262,11 +262,8 @@ std::vector<std::string> Correlator::NeighborPaths(const std::string& path) cons
 }
 
 size_t Correlator::MemoryBytes() const {
-  size_t bytes = relations_.MemoryBytes() + streams_.MemoryBytes();
-  for (FileId id = 0; id < files_.size(); ++id) {
-    bytes += sizeof(FileRecord) + files_.PathOf(id).size();
-  }
-  return bytes;
+  return relations_.MemoryBytes() + streams_.MemoryBytes() +
+         files_.size() * sizeof(FileRecord) + files_.path_bytes();
 }
 
 }  // namespace seer

@@ -102,11 +102,13 @@ void DurableCorrelator::OnFileExcluded(PathId path) {
   Latch(wal_->AppendExcluded(path));
 }
 
-Status DurableCorrelator::Checkpoint() { return DoCheckpoint(/*async=*/false); }
+Status DurableCorrelator::Checkpoint() { return DoCheckpoint(/*async=*/false, {}); }
 
-Status DurableCorrelator::BeginCheckpoint() { return DoCheckpoint(/*async=*/true); }
+Status DurableCorrelator::BeginCheckpoint(std::function<void()> on_done) {
+  return DoCheckpoint(/*async=*/true, std::move(on_done));
+}
 
-Status DurableCorrelator::DoCheckpoint(bool async) {
+Status DurableCorrelator::DoCheckpoint(bool async, std::function<void()> on_done) {
   // At most one checkpoint in flight: settle the previous one first so the
   // generation and delta-cut bookkeeping below start from committed state.
   // Its failure doesn't block this checkpoint — FinishCheckpoint already
@@ -146,7 +148,8 @@ Status DurableCorrelator::DoCheckpoint(bool async) {
 
   // Encode + atomic write + prune. Pool workers only touch memory; every
   // Fs operation happens on the thread running this job.
-  auto job = [this, seal = std::move(seal), next, delta, full_bytes_before, encode_pool]() {
+  auto job = [this, seal = std::move(seal), next, delta, full_bytes_before, encode_pool,
+              on_done = std::move(on_done)]() {
     CheckpointStats& stats = inflight_stats_;
     const auto encode_begin = std::chrono::steady_clock::now();
     const std::string bytes = EncodeSealedSnapshot(seal, encode_pool);
@@ -167,6 +170,9 @@ Status DurableCorrelator::DoCheckpoint(bool async) {
 
     inflight_status_ = std::move(status);
     inflight_done_.store(true, std::memory_order_release);
+    if (on_done) {
+      on_done();
+    }
   };
 
   if (async) {

@@ -43,6 +43,7 @@
 #define SRC_CORE_DURABLE_CORRELATOR_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -105,7 +106,11 @@ class DurableCorrelator : public ReferenceSink {
   // caller keeps ingesting immediately; poll CheckpointDone() and call
   // FinishCheckpoint() to harvest. At most one checkpoint is in flight —
   // beginning another first finishes the previous one (blocking).
-  Status BeginCheckpoint();
+  // `on_done`, when set, runs on the background thread once the work is
+  // done and CheckpointDone() reads true — the completion signal for a
+  // caller that harvests on demand instead of polling. It must not call
+  // back into this object.
+  Status BeginCheckpoint(std::function<void()> on_done = {});
   bool checkpoint_in_flight() const { return inflight_active_; }
   bool CheckpointDone() const {
     return inflight_active_ && inflight_done_.load(std::memory_order_acquire);
@@ -132,8 +137,9 @@ class DurableCorrelator : public ReferenceSink {
   DurableCorrelator(SnapshotStore store, std::unique_ptr<Correlator> correlator);
 
   // The shared seal-and-rotate prologue plus the encode/write/prune job;
-  // async spawns the job on a thread, sync runs it inline and harvests.
-  Status DoCheckpoint(bool async);
+  // async spawns the job on a thread (running `on_done` after it), sync
+  // runs it inline and harvests.
+  Status DoCheckpoint(bool async, std::function<void()> on_done);
 
   void Latch(Status status) {
     if (wal_status_.ok() && !status.ok()) {

@@ -2,6 +2,21 @@
 
 namespace seer {
 
+namespace {
+
+size_t NameLength(PathId path) {
+  return path == kInvalidPathId ? 0 : GlobalPaths().PathOf(path).size();
+}
+
+}  // namespace
+
+void FileTable::SetPath(FileId id, PathId path) {
+  FileRecord& rec = records_[id];
+  path_bytes_ -= NameLength(rec.path);
+  rec.path = path;
+  path_bytes_ += NameLength(path);
+}
+
 FileId FileTable::Lookup(PathId path) const {
   return path < by_path_.size() ? by_path_[path] : kInvalidFileId;
 }
@@ -30,11 +45,10 @@ FileId FileTable::Intern(PathId path) {
     return existing;
   }
   const FileId id = static_cast<FileId>(records_.size());
-  FileRecord rec;
-  rec.path = path;
-  records_.push_back(rec);
+  records_.emplace_back();
   flags_.push_back(0);
   touch_stamp_.push_back(0);
+  SetPath(id, path);
   Bind(path, id);
   Touch(id);
   return id;
@@ -103,13 +117,13 @@ void FileTable::RenameFile(FileId from, PathId to) {
   if (existing != kInvalidFileId && existing != from) {
     records_[existing].deleted = true;
     flags_[existing] |= kFlagDeleted;
-    records_[existing].path = kInvalidPathId;
+    SetPath(existing, kInvalidPathId);
     Touch(existing);
   }
   if (rec.path != kInvalidPathId && rec.path < by_path_.size()) {
     by_path_[rec.path] = kInvalidFileId;
   }
-  rec.path = to;
+  SetPath(from, to);
   Bind(to, from);
   Touch(from);
 }
@@ -117,6 +131,7 @@ void FileTable::RenameFile(FileId from, PathId to) {
 FileId FileTable::RestoreRecord(const FileRecord& record) {
   const FileId id = static_cast<FileId>(records_.size());
   records_.push_back(record);
+  path_bytes_ += NameLength(record.path);
   flags_.push_back(static_cast<uint8_t>((record.deleted ? kFlagDeleted : 0) |
                                         (record.excluded ? kFlagExcluded : 0)));
   touch_stamp_.push_back(0);

@@ -92,6 +92,12 @@ class FileTable {
 
   size_t size() const { return records_.size(); }
 
+  // Total length of every record's current name — the sum of PathOf(id)
+  // over all ids, kept as names are bound, re-bound and retired, so a
+  // memory reading costs no interner lookups. Exact for the same reason as
+  // the liveness mirror: names change only through table methods.
+  uint64_t path_bytes() const { return path_bytes_; }
+
   void RecordReference(FileId id, Time time, uint64_t seq);
 
   // Marks `id` deleted at the current global deletion count and returns
@@ -130,6 +136,8 @@ class FileTable {
   void Bind(PathId path, FileId id);
   FileId Lookup(PathId path) const;
   void Touch(FileId id) { touch_stamp_[id] = ++touch_epoch_; }
+  // Moves record `id`'s name to `path`, keeping path_bytes_ exact.
+  void SetPath(FileId id, PathId path);
 
   std::vector<FileRecord> records_;
   // Parallel to records_: packed deleted/excluded bits (see liveness_flags).
@@ -137,6 +145,7 @@ class FileTable {
   // Parallel to records_: touch_epoch_ value at the file's last mutation.
   std::vector<uint64_t> touch_stamp_;
   uint64_t touch_epoch_ = 0;
+  uint64_t path_bytes_ = 0;
   // PathId -> FileId, indexed by PathId. Sparse (kInvalidFileId holes) but
   // flat: one array read per reference.
   std::vector<FileId> by_path_;

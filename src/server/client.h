@@ -41,10 +41,12 @@ struct SeerClientOptions {
   // Event frames StreamEvents may leave in flight before inserting a
   // Ping barrier (client-side flow control for very long streams, so an
   // unbounded burst cannot outrun the server by more than k frames).
-  // 0 = unlimited fire-and-forget, the historical behaviour: delivery
-  // is confirmed by the caller's next control call. Per-tenant delivery
-  // order is identical either way — frames travel the same connection
-  // in order; the barrier only paces them.
+  // Each barrier makes Ping's promise for the frames before it: applied
+  // and in the WAL buffer, not yet synced. 0 = unlimited fire-and-forget,
+  // the historical behaviour: delivery is confirmed by the caller's next
+  // control call. Per-tenant delivery order is identical either way —
+  // frames travel the same connection in order; the barrier only paces
+  // them.
   size_t pipeline_depth = 0;
 };
 
@@ -68,6 +70,10 @@ class SeerClient {
   StatusOr<wire::ControlResponse> Call(const wire::ControlRequest& request);
 
   // --- typed control calls (server-side failures fold into the Status) ----
+  // The delivery barrier (wire.h's kPing): once it returns Ok, every event
+  // this connection streamed before it has been applied to its tenant's
+  // correlator and appended to the tenant's WAL buffer. The WAL is not
+  // synced, so those events are not yet durable.
   Status Ping();
   StatusOr<std::vector<TenantId>> TenantList();
   // Stats for one tenant, or for every tenant via kInvalidTenantId.

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <future>
+#include <shared_mutex>
 #include <utility>
 
 #include "src/core/snapshot_store.h"
@@ -15,7 +16,9 @@
 namespace seer {
 
 HoardService::HoardService(Fs* fs, std::string root, HoardServiceConfig config)
-    : fs_(fs), config_(std::move(config)), router_(fs, std::move(root), config_.router) {
+    : fs_(fs),
+      config_(std::move(config)),
+      router_(fs, std::move(root), config_.router, [this] { RequestTick(); }) {
   io_threads_ = config_.io_threads > 0 ? config_.io_threads : DefaultThreadCount();
   if (io_threads_ < 1) {
     io_threads_ = 1;
@@ -74,6 +77,7 @@ HoardService::TenantLane* HoardService::EnsureLane(TenantId tenant) {
     lane->observer = std::make_unique<Observer>(config_.observer, /*fs=*/nullptr);
     lane->observer->set_sink(router_.SinkFor(tenant));
     lane->observer->set_miss_listener(router_.MissLogFor(tenant));
+    lane->mu = router_.TenantMutex(tenant);
     it = lanes_.emplace(tenant, std::move(lane)).first;
   }
   return it->second.get();
@@ -100,8 +104,9 @@ void HoardService::FlushOutbox(Connection* c) {
 
 wire::ControlResponse HoardService::Dispatch(const wire::ControlRequest& request) {
   // Control verbs may create, restore, evict, or enumerate tenants:
-  // exclusive plane access, mutually excluding every shard's deliveries.
-  std::unique_lock<std::shared_mutex> plane(plane_mu_);
+  // exclusive plane access, mutually excluding every shard's deliveries and
+  // Tick's pass. (ProcessFrames answers Ping itself.)
+  std::unique_lock<WriterPriorityMutex> plane(plane_mu_);
   wire::ControlResponse response;
   response.verb = request.verb;
   const auto fail = [&response](const Status& status) {
@@ -177,10 +182,12 @@ wire::ControlResponse HoardService::Dispatch(const wire::ControlRequest& request
   return response;
 }
 
-void HoardService::DeliverToLane(TenantLane* lane, Connection* c, Shard* shard) {
+void HoardService::DeliverToLane(TenantId tenant, TenantLane* lane, Connection* c,
+                                 Shard* shard) {
   // The tenant's sink applies each event as it arrives, so the frame is
   // folded here, on the shard that decoded it, in parallel with the other
-  // shards' tenants.
+  // shards' tenants and with Tick's work on them.
+  const std::lock_guard<std::mutex> lock(*lane->mu);
   const std::vector<InternedEvent>& events = shard->arena.events();
   Observer* observer = lane->observer.get();
   for (const InternedEvent& event : events) {
@@ -190,6 +197,7 @@ void HoardService::DeliverToLane(TenantLane* lane, Connection* c, Shard* shard) 
   if (config_.record_merge_log && !events.empty()) {
     lane->merge_log.push_back({c->id, events.front().seq, static_cast<uint32_t>(events.size())});
   }
+  router_.AfterDelivery(tenant);
 }
 
 bool HoardService::DeliverEvents(Shard* shard, Connection* c, TenantId tenant,
@@ -202,23 +210,20 @@ bool HoardService::DeliverEvents(Shard* shard, Connection* c, TenantId tenant,
   }
   {
     // Fast path: tenant already known and resident. The shared lock
-    // pins residency (eviction/restore require exclusive), the lane
-    // mutex serializes same-tenant deliveries across shards.
-    std::shared_lock<std::shared_mutex> plane(plane_mu_);
+    // pins residency (eviction/restore require exclusive), the tenant's
+    // lock serializes its deliveries across shards and against Tick.
+    std::shared_lock<WriterPriorityMutex> plane(plane_mu_);
     TenantLane* lane = FindLane(tenant);
     if (lane != nullptr && router_.TenantResident(tenant)) {
-      std::lock_guard<std::mutex> lock(lane->mu);
-      DeliverToLane(lane, c, shard);
+      DeliverToLane(tenant, lane, c, shard);
       return true;
     }
   }
   // Slow path (first frame for a tenant, or delivery after an eviction):
   // create the lane and let the first routed callback restore the store,
   // all under the exclusive lock the router requires for that.
-  std::unique_lock<std::shared_mutex> plane(plane_mu_);
-  TenantLane* lane = EnsureLane(tenant);
-  std::lock_guard<std::mutex> lock(lane->mu);
-  DeliverToLane(lane, c, shard);
+  std::unique_lock<WriterPriorityMutex> plane(plane_mu_);
+  DeliverToLane(tenant, EnsureLane(tenant), c, shard);
   return true;
 }
 
@@ -252,10 +257,15 @@ void HoardService::ProcessFrames(Shard* shard, Connection* c) {
           break;
         }
         wire::ControlResponse response;
-        if (shard->index == 0) {
+        if (request->verb == wire::ControlVerb::kPing) {
+          // Every earlier frame of this connection has been applied by
+          // now (wire.h's kPing), so this shard answers it, lock-free.
+          response.verb = request->verb;
+          response.text = "pong";
+        } else if (shard->index == 0) {
           response = Dispatch(*request);
         } else {
-          // Control verbs run on the designated thread. Post the
+          // Router verbs run on the designated thread. Post the
           // request to shard 0's mailbox and block for the result; the
           // response frame is still written by this shard, keeping
           // per-connection ordering.
@@ -298,6 +308,36 @@ void HoardService::PostJob(std::function<void()> job) {
     control->jobs.push_back(std::move(job));
   }
   Wake(control);
+}
+
+void HoardService::RequestTick() {
+  if (tick_requested_.exchange(true, std::memory_order_acq_rel)) {
+    return;  // shard 0 has not run the Tick an earlier request asked for
+  }
+  const std::lock_guard<std::mutex> lock(control_wake_mu_);
+  if (control_wake_fd_ >= 0) {
+    const char byte = 0;
+    // Nonblocking: a full pipe already guarantees a pending wake.
+    (void)!::write(control_wake_fd_, &byte, 1);
+  }
+}
+
+Status HoardService::TickRouter(Time now) {
+  Status status;
+  bool over_budget = false;
+  {
+    std::shared_lock<WriterPriorityMutex> plane(plane_mu_);
+    status = router_.TickTenants(now);
+    over_budget = router_.OverBudget();
+  }
+  if (over_budget) {
+    std::unique_lock<WriterPriorityMutex> plane(plane_mu_);
+    const Status evicted = router_.EvictOverBudget();
+    if (status.ok()) {
+      status = evicted;
+    }
+  }
+  return status;
 }
 
 void HoardService::Wake(Shard* shard) {
@@ -461,6 +501,11 @@ Status HoardService::Serve() {
   }
 
   Shard* control = shards_[0].get();
+  {
+    const std::lock_guard<std::mutex> lock(control_wake_mu_);
+    control_wake_fd_ = control->wake_w.get();
+  }
+  const Time tick_period = static_cast<Time>(config_.poll_interval_ms) * 1000;
   while (!stop_.load(std::memory_order_relaxed)) {
     const bool listener_ready = PollAndService(control, listener_.get());
     if (listener_ready && !stop_.load(std::memory_order_relaxed)) {
@@ -491,11 +536,14 @@ Status HoardService::Serve() {
       }
     }
 
+    // Tick when the router asked for one (work became due) or when the
+    // timers' resolution has passed; other traffic on this shard is no
+    // reason to tick.
     const Time now = Now();
-    if (last_tick_ < 0 || now != last_tick_) {
+    const bool requested = tick_requested_.exchange(false, std::memory_order_acq_rel);
+    if (requested || last_tick_ < 0 || now - last_tick_ >= tick_period) {
       last_tick_ = now;
-      std::unique_lock<std::shared_mutex> plane(plane_mu_);
-      latch(router_.Tick(now));
+      latch(TickRouter(now));
     }
   }
 
@@ -514,6 +562,12 @@ Status HoardService::Serve() {
     }
   }
   DrainShardConnections(control);
+  {
+    // Background checkpoints still running may call RequestTick until
+    // DrainCheckpoints below joins them; the pipe is about to close.
+    const std::lock_guard<std::mutex> lock(control_wake_mu_);
+    control_wake_fd_ = -1;
+  }
   shards_.clear();
 
   latch(router_.DrainCheckpoints());
@@ -523,12 +577,12 @@ Status HoardService::Serve() {
 }
 
 std::vector<HoardService::MergeRecord> HoardService::MergeLogFor(TenantId tenant) const {
-  std::shared_lock<std::shared_mutex> plane(plane_mu_);
+  std::shared_lock<WriterPriorityMutex> plane(plane_mu_);
   const auto it = lanes_.find(tenant);
   if (it == lanes_.end()) {
     return {};
   }
-  std::lock_guard<std::mutex> lock(it->second->mu);
+  std::lock_guard<std::mutex> lock(*it->second->mu);
   return it->second->merge_log;
 }
 

@@ -7,27 +7,40 @@
 // every frame:
 //
 //   * Shard 0 is the Serve() thread. It owns the listening socket, the
-//     router's control plane (every control verb and Tick), and its own
-//     share of connections. Shards 1..N-1 are worker threads, each with
-//     a private poll set.
+//     router's control plane (every control verb but Ping, and Tick), and
+//     its own share of connections. Shards 1..N-1 are worker threads, each
+//     with a private poll set.
 //   * A connection is assigned to a shard at accept time and never
 //     migrates, so the frames of one connection are always processed in
 //     arrival order by one thread — the ordering contract the wire
 //     format's per-frame dictionaries assume, and the reason per-tenant
 //     determinism survives multi-threaded I/O (see DESIGN.md §16).
-//   * Control verbs decoded on a worker shard are posted to shard 0's
-//     mailbox (a self-pipe wakes its poll) and executed there; the
-//     worker blocks for the response and writes it to its own
-//     connection, preserving per-connection response ordering. Router
-//     Tick() likewise runs only on shard 0. The TenantRouter's
-//     single-threaded control plane is therefore preserved by
-//     construction — with one audited exception, documented in
-//     tenant_router.h and enforced here by a plane-wide shared_mutex:
-//     event delivery to an already-resident tenant, fold included, runs
-//     under the shared side (concurrently across shards, serialized per
-//     tenant by a lane mutex), while anything that can create, restore,
-//     or evict a tenant — first delivery, control verbs, Tick, shutdown —
-//     takes the exclusive side.
+//   * Ping is answered inline by the shard that decoded it, with no
+//     mailbox hop and no lock: by then every earlier frame on its
+//     connection has been applied (see wire.h's kPing). Every other
+//     control verb decoded on a worker shard is posted to shard 0's
+//     mailbox (a self-pipe wakes its poll) and executed there; the worker
+//     blocks for the response and writes it to its own connection,
+//     preserving per-connection response ordering. Router Tick likewise
+//     runs only on shard 0, so the router's control plane keeps one
+//     thread.
+//   * The locking follows tenant_router.h's threading note, with a
+//     plane-wide writer-priority lock as its plane lock. Event delivery to
+//     an already-resident tenant, fold included, runs under the shared side
+//     and the router's lock for that tenant, concurrently across shards.
+//     Tick's per-tenant pass (harvest, checkpoint starts, refills,
+//     accounting) runs under the shared side too, taking each tenant's
+//     lock around its work on that tenant, so it fences no other tenant.
+//     Only what changes the tenant map or residency — first delivery and
+//     restore, control verbs other than Ping, the eviction pass when a
+//     residency budget is exceeded, shutdown — takes the exclusive side;
+//     a waiting exclusive taker holds off new shared ones, so it gets in
+//     once the frames being applied at that moment are done.
+//   * Tick runs when work becomes due, not on every loop pass: when a
+//     delivery takes a tenant's WAL to wal_checkpoint_bytes, when a
+//     background checkpoint finishes, when a Tick leaves due refills for
+//     the next one, and otherwise once per poll_interval_ms (the
+//     resolution of the checkpoint and refill timers).
 //
 // Data plane: kEvents frames are decoded near-zero-copy. A frame's
 // payload is parsed straight out of the connection's read buffer
@@ -37,7 +50,7 @@
 // definition. Decoded events pass through the tenant's own Observer into
 // SinkFor(tenant), whose DurableCorrelator applies each event to the
 // correlator (measure + fold) and appends it to the WAL. So each frame is
-// applied on the shard that decoded it, under the tenant's lane, in
+// applied on the shard that decoded it, under the tenant's lock, in
 // parallel with the other shards' tenants, and Tick, checkpoints and
 // control verbs on shard 0 never find events waiting to be applied.
 // Responses are batched per read burst and flushed with one gathered
@@ -71,7 +84,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,6 +95,7 @@
 #include "src/server/wire.h"
 #include "src/util/fs.h"
 #include "src/util/status.h"
+#include "src/util/writer_priority_mutex.h"
 
 namespace seer {
 
@@ -93,9 +106,10 @@ struct HoardServiceConfig {
   // Undecoded bytes a connection may buffer before the service stops
   // reading it (per-connection backpressure; must admit one max frame).
   size_t conn_buffer_limit = wire::kMaxFramePayload + wire::kFrameHeaderSize;
-  // poll() timeout on every shard. Shard 0 runs router Tick after each
-  // loop pass, so this bounds how long an idle server goes between Ticks;
-  // it is also how soon a shard notices the stop flag.
+  // poll() timeout on every shard, and the resolution of the router's
+  // checkpoint and refill timers: shard 0 runs router Tick at least this
+  // often (by the service clock), and at once when work becomes due. It
+  // is also how soon a shard notices RequestStop().
   int poll_interval_ms = 100;
   // Microsecond clock for Tick; null selects the monotonic clock. Tests
   // inject a fake so checkpoint scheduling is reproducible.
@@ -178,9 +192,9 @@ class HoardService {
   // Per-tenant serving state outside the router: the observer pipeline
   // and the merge log. Lanes are created under the exclusive plane lock
   // and never destroyed, so a shard holding the shared lock may touch
-  // any lane it finds — serialized per tenant by the lane mutex.
+  // any lane it finds — under `mu`, the router's lock for the tenant.
   struct TenantLane {
-    mutable std::mutex mu;
+    std::mutex* mu = nullptr;  // TenantRouter::TenantMutex
     std::unique_ptr<Observer> observer;
     std::vector<MergeRecord> merge_log;
   };
@@ -220,11 +234,20 @@ class HoardService {
   // One kEvents frame. False on protocol error (caller closes `c`).
   bool DeliverEvents(Shard* shard, Connection* c, TenantId tenant, std::string_view payload);
   // Events -> observer -> the tenant's sink, which measures and folds each
-  // one, all under the lane mutex (plane lock already held).
-  void DeliverToLane(TenantLane* lane, Connection* c, Shard* shard);
-  // Control verb execution; takes the exclusive plane lock. Runs on
-  // shard 0 (or inline when io_threads == 1).
+  // one, then AfterDelivery, all under the tenant's lock (plane lock
+  // already held).
+  void DeliverToLane(TenantId tenant, TenantLane* lane, Connection* c, Shard* shard);
+  // Control verb execution on shard 0, under the exclusive plane lock.
+  // Ping never gets here: ProcessFrames answers it on the shard that
+  // decoded it.
   wire::ControlResponse Dispatch(const wire::ControlRequest& request);
+  // The router's wake: asks shard 0 for a Tick on its next loop pass.
+  // Safe from any thread at any point of the service's life.
+  void RequestTick();
+  // One Tick: the router's per-tenant pass under the shared plane lock,
+  // then its eviction pass under the exclusive lock if a residency budget
+  // is exceeded.
+  Status TickRouter(Time now);
   void FlushOutbox(Connection* c);
 
   // Shard machinery.
@@ -244,16 +267,26 @@ class HoardService {
 
   Fs* fs_;
   HoardServiceConfig config_;
+  // RequestTick's state, declared before router_ so that it outlives the
+  // router's background checkpoints, whose completion calls RequestTick.
+  // tick_requested_ collapses wakes between two Ticks; control_wake_fd_ is
+  // shard 0's wake pipe while Serve() runs, else -1.
+  std::atomic<bool> tick_requested_{false};
+  std::mutex control_wake_mu_;
+  int control_wake_fd_ = -1;  // guarded by control_wake_mu_
   TenantRouter router_;
   int io_threads_ = 1;
   net::OwnedFd listener_;
   std::string uds_path_;  // unlinked on destruction when non-empty
 
-  // Plane lock: shared for event delivery to resident tenants, exclusive
-  // for anything that can create/restore/evict tenants or read
-  // cross-tenant state (control verbs, Tick, shutdown). Lock order:
-  // plane_mu_ before any TenantLane::mu.
-  mutable std::shared_mutex plane_mu_;
+  // Plane lock: shared for event delivery to resident tenants and Tick's
+  // per-tenant pass, exclusive for anything that can create/restore/evict
+  // tenants or read cross-tenant state (control verbs other than Ping,
+  // the eviction pass, shutdown). Every shard takes the shared side once
+  // per frame, back to back, so a waiting exclusive taker must hold off
+  // new readers or it could wait indefinitely: a writer-priority lock.
+  // Lock order: plane_mu_, then one tenant's lock, then control_wake_mu_.
+  mutable WriterPriorityMutex plane_mu_;
   std::map<TenantId, std::unique_ptr<TenantLane>> lanes_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -262,7 +295,7 @@ class HoardService {
   std::atomic<int> workers_live_{0};
 
   std::atomic<bool> stop_{false};
-  Time last_tick_ = -1;
+  Time last_tick_ = -1;  // service clock at the last Tick (shard 0 only)
 
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> frames_received_{0};

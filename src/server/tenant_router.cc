@@ -1,6 +1,7 @@
 #include "src/server/tenant_router.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "src/core/params_io.h"
@@ -8,8 +9,13 @@
 
 namespace seer {
 
-TenantRouter::TenantRouter(Fs* fs, std::string root, TenantRouterConfig config)
-    : fs_(fs), root_(std::move(root)), config_(config), pool_(config.threads) {}
+TenantRouter::TenantRouter(Fs* fs, std::string root, TenantRouterConfig config,
+                           std::function<void()> wake)
+    : fs_(fs),
+      root_(std::move(root)),
+      config_(config),
+      wake_(std::move(wake)),
+      pool_(config.threads) {}
 
 TenantRouter::~TenantRouter() {
   const Status status = Shutdown();
@@ -51,7 +57,7 @@ StatusOr<Correlator*> TenantRouter::CorrelatorFor(TenantId tenant) {
   if (t == nullptr) {
     return last_error_;
   }
-  t->changed = true;  // the caller may mutate through the pointer
+  t->changed.store(true, std::memory_order_relaxed);  // the caller may mutate through the pointer
   return &t->durable->correlator();
 }
 
@@ -62,7 +68,7 @@ ReferenceSink* TenantRouter::Route(TenantId tenant) {
   }
   t->last_touch_seq.store(touch_seq_.fetch_add(1, std::memory_order_relaxed) + 1,
                           std::memory_order_relaxed);
-  t->changed = true;
+  t->changed.store(true, std::memory_order_relaxed);
   return t->durable.get();
 }
 
@@ -76,8 +82,11 @@ TenantRouter::Tenant* TenantRouter::ResidentTenant(TenantId tenant) {
     }
     return nullptr;
   }
-  SinkFor(tenant);
   Tenant* t = FindTenant(tenant);
+  if (t == nullptr) {
+    SinkFor(tenant);
+    t = FindTenant(tenant);
+  }
   if (t->durable == nullptr) {
     const Status restored = Restore(t);
     if (!restored.ok()) {
@@ -152,7 +161,7 @@ Status TenantRouter::Restore(Tenant* t) {
   t->checkpoint_inflight = false;
   t->durable_generation = t->durable->generation();
   t->last_files = t->durable->correlator().files().size();
-  t->changed = true;
+  t->changed.store(true, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -163,7 +172,8 @@ std::string TenantRouter::ParamsPath(TenantId tenant) const {
 Status TenantRouter::PersistTenantMeta(Tenant* t) {
   t->durable_generation = t->durable->generation();
   t->last_files = t->durable->correlator().files().size();
-  t->changed = true;  // the finished checkpoint trimmed the stream removal log
+  // The finished checkpoint trimmed the stream removal log.
+  t->changed.store(true, std::memory_order_relaxed);
   return WriteTenantAux(fs_, SnapshotStore::TenantDirectory(root_, t->id), t->manager,
                         t->miss_log);
 }
@@ -187,7 +197,7 @@ Status TenantRouter::SetTenantParams(TenantId tenant, const std::string& text) {
   Tenant* t = FindTenant(tenant);
   if (t != nullptr && t->durable != nullptr) {
     t->durable->correlator().OverrideTuningParams(effective);
-    t->changed = true;
+    t->changed.store(true, std::memory_order_relaxed);
   }
   return Status::Ok();
 }
@@ -291,6 +301,7 @@ Status TenantRouter::CheckpointTenant(TenantId tenant) {
   }
   SEER_RETURN_IF_ERROR(SettleCheckpoint(t));
   SEER_RETURN_IF_ERROR(t->durable->Checkpoint());
+  t->wal_due.store(false, std::memory_order_relaxed);
   ++checkpoints_started_;
   ++checkpoints_harvested_;
   ++t->checkpoints;
@@ -309,6 +320,7 @@ Status TenantRouter::EvictLocked(Tenant* t) {
   SEER_RETURN_IF_ERROR(PersistTenantMeta(t));
   t->daemon.reset();
   t->durable.reset();
+  t->wal_due.store(false, std::memory_order_relaxed);
   t->memory_bytes = 0;
   ++evictions_;
   ++t->evictions;
@@ -335,19 +347,70 @@ void TenantRouter::RefreshResidentBytes() {
     if (t.durable == nullptr) {
       continue;
     }
-    if (t.changed) {
-      t.changed = false;
-      const Correlator& correlator = t.durable->correlator();
-      t.memory_bytes = correlator.MemoryBytes();
-      t.durable_generation = t.durable->generation();
-      t.last_files = correlator.files().size();
+    if (t.changed.load(std::memory_order_relaxed)) {
+      // With a byte budget these figures decide eviction, so wait out a
+      // delivery in progress (one frame). Without one they are only
+      // reported, and kTenantStats refreshes them under the exclusive plane
+      // lock, where no delivery runs; a tenant some shard is delivering to
+      // right now keeps its mark for the next pass instead.
+      std::unique_lock<std::mutex> lock(t.mu, std::defer_lock);
+      if (config_.max_resident_bytes > 0) {
+        lock.lock();
+      } else {
+        (void)lock.try_lock();
+      }
+      if (lock.owns_lock()) {
+        t.changed.store(false, std::memory_order_relaxed);
+        const Correlator& correlator = t.durable->correlator();
+        t.memory_bytes = correlator.MemoryBytes();
+        t.durable_generation = t.durable->generation();
+        t.last_files = correlator.files().size();
+      }
     }
     total += t.memory_bytes;
   }
   resident_bytes_ = total;
 }
 
+std::mutex* TenantRouter::TenantMutex(TenantId tenant) {
+  Tenant* t = FindTenant(tenant);
+  return t == nullptr ? nullptr : &t->mu;
+}
+
+bool TenantRouter::FlagIfWalDue(Tenant* t) {
+  // Every writer of wal_due holds the tenant's lock (or runs alone), so a
+  // load and a store suffice.
+  if (t->wal_due.load(std::memory_order_relaxed) ||
+      t->durable->wal_bytes() < config_.wal_checkpoint_bytes) {
+    return false;
+  }
+  t->wal_due.store(true, std::memory_order_relaxed);
+  return true;
+}
+
+void TenantRouter::AfterDelivery(TenantId tenant) {
+  Tenant* t = FindTenant(tenant);
+  if (t != nullptr && t->durable != nullptr && FlagIfWalDue(t) && wake_) {
+    wake_();
+  }
+}
+
 Status TenantRouter::Tick(Time now) {
+  for (auto& [id, t] : tenants_) {
+    (void)id;
+    if (t.durable != nullptr) {
+      FlagIfWalDue(&t);
+    }
+  }
+  Status first_error = TickTenants(now);
+  const Status evicted = EvictOverBudget();
+  if (first_error.ok()) {
+    first_error = evicted;
+  }
+  return first_error;
+}
+
+Status TenantRouter::TickTenants(Time now) {
   Status first_error;
   const auto latch = [&first_error](const Status& status) {
     if (first_error.ok() && !status.ok()) {
@@ -360,19 +423,20 @@ Status TenantRouter::Tick(Time now) {
   for (auto& [id, t] : tenants_) {
     (void)id;
     if (t.checkpoint_inflight && t.durable->CheckpointDone()) {
+      const std::lock_guard<std::mutex> lock(t.mu);
       HarvestCheckpoint(&t);
     }
   }
 
-  // 2. Start due checkpoints, most overdue first, within the budget.
+  // 2. Start due checkpoints, most overdue first, within the budget. Each
+  //    one's completion calls `wake`, so a transport harvests it promptly.
   std::vector<Tenant*> due;
   for (auto& [id, t] : tenants_) {
     (void)id;
     if (t.durable == nullptr || t.checkpoint_inflight) {
       continue;
     }
-    if (now >= t.next_checkpoint_due ||
-        t.durable->wal_bytes() >= config_.wal_checkpoint_bytes) {
+    if (now >= t.next_checkpoint_due || t.wal_due.load(std::memory_order_relaxed)) {
       due.push_back(&t);
     }
   }
@@ -385,8 +449,10 @@ Status TenantRouter::Tick(Time now) {
     if (inflight_ >= config_.max_checkpoints_inflight) {
       break;
     }
-    const Status begun = t->durable->BeginCheckpoint();
+    const std::lock_guard<std::mutex> lock(t->mu);
+    const Status begun = t->durable->BeginCheckpoint(wake_);
     latch(begun);
+    t->wal_due.store(false, std::memory_order_relaxed);
     if (t->durable->checkpoint_in_flight()) {
       t->checkpoint_inflight = true;
       ++inflight_;
@@ -396,19 +462,24 @@ Status TenantRouter::Tick(Time now) {
   }
 
   // 3. Due hoard refills (bounded per tick; the selection runs inline).
+  //    Refills left over for the cap ask for another pass at once.
   if (config_.hoard_budget_bytes > 0) {
     size_t refilled = 0;
     for (auto& [id, t] : tenants_) {
       (void)id;
-      if (refilled >= config_.max_refills_per_tick) {
-        break;
-      }
       if (t.durable == nullptr || t.daemon == nullptr) {
         continue;
       }
       if (t.last_refill >= 0 && now - t.last_refill < config_.hoard_interval) {
         continue;
       }
+      if (refilled >= config_.max_refills_per_tick) {
+        if (wake_) {
+          wake_();
+        }
+        break;
+      }
+      const std::lock_guard<std::mutex> lock(t.mu);
       const auto refill_start = std::chrono::steady_clock::now();
       t.daemon->ForceRefill(now);
       t.last_refill_us = static_cast<uint64_t>(
@@ -417,53 +488,56 @@ Status TenantRouter::Tick(Time now) {
               .count());
       t.refill_us_total += t.last_refill_us;
       t.last_refill = now;
-      t.changed = true;  // investigators add relations
+      t.changed.store(true, std::memory_order_relaxed);  // investigators add relations
       ++t.refills;
       ++refilled;
     }
   }
 
-  // 4. Eviction pass: recompute residency, then release the coldest
-  //    tenants until both budgets hold. Tenants with a checkpoint in
-  //    flight are skipped this round (the next tick gets them).
+  // 4. Residency accounting for the tenants that changed.
   RefreshResidentBytes();
-  const bool bounded = config_.max_resident_bytes > 0 || config_.max_resident_tenants > 0;
-  if (bounded) {
-    while (true) {
-      const size_t residents = resident_tenants();
-      const bool over_bytes =
-          config_.max_resident_bytes > 0 && resident_bytes_ > config_.max_resident_bytes;
-      const bool over_count =
-          config_.max_resident_tenants > 0 && residents > config_.max_resident_tenants;
-      if (!over_bytes && !over_count) {
-        break;
+  return first_error;
+}
+
+bool TenantRouter::OverBudget() const {
+  return (config_.max_resident_bytes > 0 && resident_bytes_ > config_.max_resident_bytes) ||
+         (config_.max_resident_tenants > 0 &&
+          resident_tenants() > config_.max_resident_tenants);
+}
+
+Status TenantRouter::EvictOverBudget() {
+  Status first_error;
+  if (!OverBudget()) {
+    return first_error;
+  }
+  // Release the coldest tenants until both budgets hold. Tenants with a
+  // checkpoint in flight are skipped this round (the next tick gets them).
+  RefreshResidentBytes();
+  while (OverBudget()) {
+    Tenant* coldest = nullptr;
+    for (auto& [id, t] : tenants_) {
+      (void)id;
+      if (t.durable == nullptr || t.checkpoint_inflight) {
+        continue;
       }
-      Tenant* coldest = nullptr;
-      for (auto& [id, t] : tenants_) {
-        (void)id;
-        if (t.durable == nullptr || t.checkpoint_inflight) {
-          continue;
-        }
-        if (coldest == nullptr || t.last_touch_seq.load(std::memory_order_relaxed) <
-                                      coldest->last_touch_seq.load(std::memory_order_relaxed)) {
-          coldest = &t;
-        }
+      if (coldest == nullptr || t.last_touch_seq.load(std::memory_order_relaxed) <
+                                    coldest->last_touch_seq.load(std::memory_order_relaxed)) {
+        coldest = &t;
       }
-      if (coldest == nullptr) {
-        break;  // everything evictable is checkpointing; next tick
-      }
-      const uint64_t freed = coldest->memory_bytes;
-      const Status evicted = EvictLocked(coldest);
-      latch(evicted);
-      if (!evicted.ok()) {
-        // A failed eviction (e.g. the folding checkpoint hit a full disk)
-        // leaves the tenant resident with its LRU clock unchanged, so
-        // retrying within this pass would re-select the same victim
-        // forever. Give up for this tick; the next one retries.
-        break;
-      }
-      resident_bytes_ -= std::min(resident_bytes_, freed);
     }
+    if (coldest == nullptr) {
+      break;  // everything evictable is checkpointing; next tick
+    }
+    const uint64_t freed = coldest->memory_bytes;
+    first_error = EvictLocked(coldest);
+    if (!first_error.ok()) {
+      // A failed eviction (e.g. the folding checkpoint hit a full disk)
+      // leaves the tenant resident with its LRU clock unchanged, so
+      // retrying within this pass would re-select the same victim
+      // forever. Give up for this tick; the next one retries.
+      break;
+    }
+    resident_bytes_ -= std::min(resident_bytes_, freed);
   }
   return first_error;
 }
@@ -526,6 +600,11 @@ StatusOr<TenantStats> TenantRouter::Stats(TenantId tenant) const {
   stats.generation = t->durable_generation;
   stats.files = t->last_files;
   if (t->durable != nullptr) {
+    // Live figures, not the accounting pass's cache: no Tick need have run
+    // since the tenant last changed. One tenant's walk, not the fleet's.
+    const Correlator& correlator = t->durable->correlator();
+    stats.memory_bytes = correlator.MemoryBytes();
+    stats.files = correlator.files().size();
     stats.generation = t->durable->generation();
     stats.wal_bytes = t->durable->wal_bytes();
   }

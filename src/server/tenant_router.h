@@ -35,34 +35,49 @@
 // tenant's store directory is an ordinary single-instance store that
 // `seerctl db` reads unchanged.
 //
-// Threading: the router itself is a single-threaded control plane; the
-// parallelism lives in the shared pool below it. It is not safe to call
-// two router methods concurrently — with one narrowly-scoped exception
-// the sharded transport (service.h) relies on, under external locking:
+// Threading: the router is a control plane driven from one thread; the
+// parallelism lives in the shared pool below it. It is not safe to call two
+// router methods concurrently, except under the two-level external locking
+// the sharded transport (service.h) uses:
 //
-//   Holding a shared (reader) lock that excludes every other router
-//   method, multiple threads may concurrently (a) call TenantResident()
-//   and (b) deliver sink callbacks to *distinct already-resident*
-//   tenants — provided each tenant's callbacks are additionally
-//   serialized by a per-tenant lock. A callback applies its event to the
-//   tenant's correlator (measure and fold) before it returns, so distinct
-//   tenants fold concurrently, each on the thread that delivered it. This
-//   is sound because a routed callback on a resident tenant mutates only
-//   that tenant's own state (correlator, WAL, its accounting mark) plus
-//   the LRU clock, which is atomic (touch_seq_/last_touch_seq are relaxed
-//   atomics; the eviction scan tolerates torn ordering), and because
-//   tenants_ map nodes are pointer-stable and no method that inserts,
-//   restores, or evicts runs while the shared lock is held. Anything that
-//   might create/restore/evict a tenant — SinkFor on a new id, first
-//   delivery to a non-resident tenant, Tick, control verbs, Shutdown —
-//   must hold the exclusive side of that lock.
+//   * A plane lock with a shared and an exclusive side. Anything that
+//     changes the tenant map or residency — SinkFor on a new id, first
+//     delivery to a non-resident tenant (which restores it),
+//     EvictOverBudget, the control verbs, Shutdown — holds it exclusive.
+//     Deliveries take the shared side back to back, so a waiting
+//     exclusive taker must hold off new shared ones (a writer-priority
+//     lock), or it can wait indefinitely.
+//   * One lock per tenant, owned here (TenantMutex). Under the shared plane
+//     lock, deliveries of sink callbacks to resident tenants and
+//     TickTenants may run at the same time on different tenants; the
+//     tenant's lock serializes them for any one tenant. The transport holds
+//     it around each delivery and calls AfterDelivery before releasing it;
+//     TickTenants takes it around each piece of its work on that tenant
+//     (harvest, BeginCheckpoint, refill, residency accounting), so a
+//     checkpoint or a refill always lands between two of its deliveries.
+//
+// This is sound because a routed callback on a resident tenant applies its
+// event to that tenant's own state (correlator, WAL, miss log, accounting
+// mark) before it returns, plus the LRU clock, which is atomic
+// (touch_seq_/last_touch_seq are relaxed atomics; the eviction scan
+// tolerates torn ordering); because tenants_ map nodes are pointer-stable
+// and nothing inserts, restores or evicts under the shared lock; and because
+// TickTenants finds its work without any tenant's lock, from fields only it
+// and exclusive holders write plus three marks a delivery or a background
+// checkpoint may set concurrently (changed, wal_due, CheckpointDone), all
+// atomic. Router-wide fields — inflight_, the counters, the seal-stall ring,
+// resident_bytes_ and last_error_ — are written only by TickTenants and the
+// control verbs, which the transport runs on one thread (its shard 0), or
+// under the exclusive lock (a first delivery's restore, on any shard).
 #ifndef SRC_SERVER_TENANT_ROUTER_H_
 #define SRC_SERVER_TENANT_ROUTER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -113,7 +128,8 @@ struct TenantRouterConfig {
   uint64_t hoard_budget_bytes = 0;
   Time hoard_interval = 6 * kMicrosPerHour;
   // Refills run synchronously on Tick; cap how many per call so one Tick
-  // never stalls the transport for the whole fleet.
+  // holds the control thread only briefly. The rest wait for the next
+  // Tick, which a router with a `wake` asks for at once.
   size_t max_refills_per_tick = 4;
   // Per-file sizes for hoard selection (see HoardManager::SizeFn).
   HoardManager::SizeFn size_of;
@@ -142,7 +158,14 @@ struct TenantStats {
 
 class TenantRouter {
  public:
-  TenantRouter(Fs* fs, std::string root, TenantRouterConfig config = {});
+  // `wake`, when set, is called from any thread whenever work becomes due
+  // before the caller's next scheduled Tick: a delivery took a tenant's WAL
+  // to wal_checkpoint_bytes (AfterDelivery), a background checkpoint
+  // finished, or a Tick left due refills for the next one. A transport
+  // that ticks on demand passes it; callers that tick on their own cadence
+  // leave it empty.
+  TenantRouter(Fs* fs, std::string root, TenantRouterConfig config = {},
+               std::function<void()> wake = {});
   // Best-effort Shutdown(); errors are latched in last_error().
   ~TenantRouter();
 
@@ -160,10 +183,38 @@ class TenantRouter {
   // that keeps mutating across Ticks calls this again.
   StatusOr<Correlator*> CorrelatorFor(TenantId tenant);
 
-  // Control-plane heartbeat; call from the transport's idle loop. Runs
-  // the checkpoint scheduler, due hoard refills, and the eviction pass.
+  // Control-plane heartbeat for single-threaded callers: TickTenants then
+  // EvictOverBudget, after flagging every tenant whose WAL has reached
+  // wal_checkpoint_bytes (no AfterDelivery runs without a transport).
   // Returns the first error encountered (the pass still completes).
   Status Tick(Time now);
+
+  // Tick's two halves, for a transport that runs them under different
+  // sides of its plane lock (see the threading note).
+  //   TickTenants: harvest finished checkpoints, start due ones, run due
+  //   refills, refresh the accounting of changed tenants. It touches only
+  //   tenants with work — flagged, due by timer, in flight or changed —
+  //   each under its lock. Shared side. Its accounting waits for a busy
+  //   tenant's lock when max_resident_bytes is set, since the figures then
+  //   decide eviction; otherwise a busy tenant keeps its mark for the next
+  //   pass.
+  //   EvictOverBudget: when a residency budget is exceeded, re-account
+  //   every changed tenant and evict the coldest until both bounds hold.
+  //   Exclusive side; OverBudget (shared side) says whether it has work.
+  Status TickTenants(Time now);
+  bool OverBudget() const;
+  Status EvictOverBudget();
+
+  // The lock that serializes one tenant's deliveries and Tick's work on it
+  // (see the threading note). nullptr for tenants never seen; stable for
+  // the router's lifetime.
+  std::mutex* TenantMutex(TenantId tenant);
+
+  // Called by a transport after a delivery to a resident tenant, still
+  // holding its lock: once the tenant's WAL has reached
+  // wal_checkpoint_bytes, flags it for the next Tick and calls `wake` —
+  // once per crossing, not once per delivery.
+  void AfterDelivery(TenantId tenant);
 
   // Synchronous checkpoint of one tenant (seal + encode + write + prune
   // before returning). Restores the tenant if evicted.
@@ -183,6 +234,8 @@ class TenantRouter {
 
   // Tenants this router has seen (resident or evicted), ascending.
   std::vector<TenantId> ListTenants() const;
+  // A resident tenant's memory, files and generation are read live; an
+  // evicted one's come from the caches that survive eviction.
   StatusOr<TenantStats> Stats(TenantId tenant) const;
 
   // --- per-tenant parameter overrides -------------------------------------
@@ -214,9 +267,10 @@ class TenantRouter {
   bool TenantResident(TenantId tenant) const;
 
   size_t resident_tenants() const;
-  // Sum of resident correlators' MemoryBytes() as of the last Tick or
-  // eviction pass. MemoryBytes() walks every file of a tenant, so a pass
-  // recomputes it only for tenants changed since the previous pass.
+  // Sum of resident correlators' MemoryBytes() as of the last accounting
+  // pass (Tick or an eviction). MemoryBytes() walks every relation row of a
+  // tenant, so a pass recomputes it only for tenants changed since the
+  // previous pass.
   uint64_t resident_bytes() const { return resident_bytes_; }
 
   // --- fleet counters ----------------------------------------------------
@@ -243,6 +297,9 @@ class TenantRouter {
  private:
   struct Tenant {
     TenantId id = kInvalidTenantId;
+    // The tenant's lock (TenantMutex): held around each delivery and each
+    // piece of TickTenants' work on this tenant.
+    std::mutex mu;
     // Ingress; address handed out by SinkFor, stable across residency.
     std::unique_ptr<TenantScopedSink> scoped;
     // Resident state: null while evicted.
@@ -259,7 +316,7 @@ class TenantRouter {
     // external lock; the eviction scan runs exclusive and only needs a
     // monotone-ish ordering, not cross-tenant precision.
     std::atomic<uint64_t> last_touch_seq{0};
-    uint64_t memory_bytes = 0;    // as of the last Tick
+    uint64_t memory_bytes = 0;    // as of the last accounting pass
     // Stats caches that survive eviction (refreshed at Tick, checkpoint,
     // eviction, and restore), so `tenant stats` never has to re-open an
     // evicted store.
@@ -268,10 +325,14 @@ class TenantRouter {
     // Set by every path that can change the correlator (routed callbacks,
     // CorrelatorFor, refills, checkpoints, restore, params); the residency
     // pass refreshes memory_bytes, last_files and durable_generation only
-    // for marked tenants. Routed callbacks set it under the shared
-    // external lock, serialized per tenant; the pass reads and clears it
-    // under the exclusive side.
-    bool changed = true;
+    // for marked tenants. Written under the tenant's lock or the exclusive
+    // side; atomic (relaxed) because TickTenants reads it without the lock
+    // to decide whether to visit the tenant, then clears it under the lock.
+    std::atomic<bool> changed{true};
+    // Set under the tenant's lock once its WAL reached wal_checkpoint_bytes
+    // (FlagIfWalDue); cleared when a checkpoint folds the WAL. TickTenants
+    // reads it without the lock, like `changed`.
+    std::atomic<bool> wal_due{false};
     bool aux_loaded = false;  // pins/misses recovered from the store once
     bool checkpoint_inflight = false;
     uint64_t checkpoints = 0;
@@ -295,8 +356,11 @@ class TenantRouter {
   Status EvictLocked(Tenant* t);
   Time StaggerPhase(TenantId tenant) const;
   // Refreshes the accounting of tenants marked `changed` and re-sums
-  // resident_bytes_.
+  // resident_bytes_; under the shared plane lock, see TickTenants.
   void RefreshResidentBytes();
+  // Sets t->wal_due when the WAL has reached wal_checkpoint_bytes; true
+  // when this call set it. Caller holds the tenant's lock (or runs alone).
+  bool FlagIfWalDue(Tenant* t);
   // Refreshes the eviction-surviving stats caches and rewrites the aux
   // section; called after every successful checkpoint.
   Status PersistTenantMeta(Tenant* t);
@@ -306,6 +370,7 @@ class TenantRouter {
   Fs* fs_;
   std::string root_;
   TenantRouterConfig config_;
+  std::function<void()> wake_;  // may be empty
   ThreadPool pool_;
   std::map<TenantId, Tenant> tenants_;  // ordered: ListTenants is sorted
   std::atomic<uint64_t> touch_seq_{0};

@@ -169,6 +169,13 @@ class EventArena {
 // --- control protocol ---------------------------------------------------------
 
 enum class ControlVerb : uint8_t {
+  // The delivery barrier. When the server answers a Ping, every frame sent
+  // before it on the same connection has been decoded, passed through its
+  // tenant's observer, applied to the tenant's correlator and appended to
+  // the tenant's WAL buffer. Nothing more: the WAL is not synced (a
+  // checkpoint syncs it), so a crash can still lose those events. The
+  // shard that reads the connection answers it inline, without the
+  // router, so it stays cheap while the fleet streams.
   kPing = 1,
   kTenantList = 2,
   kTenantStats = 3,  // tenant = kInvalidTenantId means "all tenants"

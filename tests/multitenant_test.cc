@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <random>
 #include <string>
@@ -391,6 +392,52 @@ TEST(TenantRouter, RefillSeesRoutedEvents) {
   EXPECT_EQ(1u, stats->refills);
   EXPECT_EQ(5u, stats->files);
   EXPECT_EQ(5u, stats->hoard_files);
+}
+
+// The transport's WAL trigger: AfterDelivery flags a tenant once its WAL
+// reaches wal_checkpoint_bytes and wakes the caller once per crossing; the
+// flag alone makes the next TickTenants start a checkpoint, whose
+// completion wakes again, and the folded WAL re-arms the trigger.
+TEST(TenantRouter, AfterDeliveryWakesOncePerWalCrossing) {
+  MemFs fs;
+  TenantRouterConfig config = BaseConfig(2);
+  config.checkpoint_interval = 1000 * kMicrosPerHour;  // no timer is due
+  config.wal_checkpoint_bytes = 512;
+  std::atomic<int> wakes{0};  // a finished checkpoint wakes from its own thread
+  TenantRouter router(&fs, "/srv", config, [&wakes] { ++wakes; });
+
+  ReferenceSink* sink = router.SinkFor(1);
+  int sent = 0;
+  const auto deliver = [&] {
+    FileReference ref;
+    ref.pid = 1;
+    ref.kind = RefKind::kPoint;
+    ref.path = P("/wal/f" + std::to_string(sent % 7));
+    ref.time = ++sent * kMicrosPerSecond;
+    sink->OnReference(ref);
+    router.AfterDelivery(1);
+  };
+  const auto wal_bytes = [&router] { return router.Stats(1)->wal_bytes; };
+
+  while (wal_bytes() < config.wal_checkpoint_bytes) {
+    ASSERT_EQ(0, wakes.load()) << "woken before the WAL reached the threshold";
+    deliver();
+  }
+  EXPECT_EQ(1, wakes.load());
+  deliver();
+  deliver();
+  EXPECT_EQ(1, wakes.load()) << "woken again within one crossing";
+
+  ASSERT_TRUE(router.TickTenants(1).ok());
+  ASSERT_TRUE(router.DrainCheckpoints().ok());
+  EXPECT_EQ(1u, router.Stats(1)->checkpoints);
+  EXPECT_EQ(2, wakes.load()) << "the finished checkpoint did not wake";
+
+  ASSERT_LT(wal_bytes(), config.wal_checkpoint_bytes);
+  while (wal_bytes() < config.wal_checkpoint_bytes) {
+    deliver();
+  }
+  EXPECT_EQ(3, wakes.load());
 }
 
 TEST(TenantRouter, TenantDirectoryLayout) {

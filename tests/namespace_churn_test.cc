@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/correlator.h"
+#include "src/core/file_table.h"
 
 namespace seer {
 namespace {
@@ -156,6 +157,47 @@ TEST(NamespaceChurn, RenameOfOpenFileKeepsLifetimeAndRelations) {
   const double after_close = correlator.Distance("/open/src_v2.c", "/open/other.h");
   ASSERT_GE(after_close, 0.0);
   EXPECT_GT(after_close, 0.0);
+}
+
+// The table keeps the total length of its records' names as they are bound
+// and re-bound, so Correlator::MemoryBytes() needs no interner lookup per
+// file. After each kind of churn the running total must equal a fresh walk.
+TEST(FileTable, PathBytesMatchAFreshWalkUnderChurn) {
+  FileTable files;
+  const auto walk = [&files] {
+    uint64_t bytes = 0;
+    for (FileId id = 0; id < files.size(); ++id) {
+      bytes += files.PathOf(id).size();
+    }
+    return bytes;
+  };
+  EXPECT_EQ(0u, files.path_bytes());
+
+  const FileId a = files.Intern(P("/bytes/a.c"));
+  const FileId b = files.Intern(P("/bytes/bb.h"));
+  files.Intern(P("/bytes/ccc.o"));
+  EXPECT_EQ(walk(), files.path_bytes()) << "insert";
+
+  files.RenameFile(a, P("/bytes/a_renamed_longer.c"));
+  EXPECT_EQ(walk(), files.path_bytes()) << "rename";
+
+  // Rename over an existing name retires the replaced record's name.
+  files.RenameFile(b, P("/bytes/ccc.o"));
+  EXPECT_EQ(walk(), files.path_bytes()) << "rename over an existing file";
+
+  const FileId d = files.Intern(P("/bytes/dddd.txt"));
+  files.MarkDeleted(d, /*delete_delay=*/10);
+  EXPECT_EQ(walk(), files.path_bytes()) << "delete";
+
+  EXPECT_EQ(d, files.Intern(P("/bytes/dddd.txt")));
+  EXPECT_EQ(walk(), files.path_bytes()) << "resurrection";
+
+  // A decoded table starts from restored records, names included.
+  FileTable restored;
+  for (FileId id = 0; id < files.size(); ++id) {
+    restored.RestoreRecord(files.Get(id));
+  }
+  EXPECT_EQ(files.path_bytes(), restored.path_bytes()) << "restore";
 }
 
 }  // namespace

@@ -12,6 +12,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <future>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -28,6 +34,7 @@
 #include "src/server/tenant_router.h"
 #include "src/server/wire.h"
 #include "src/util/fs.h"
+#include "src/util/path_interner.h"
 
 namespace seer {
 namespace {
@@ -1057,6 +1064,291 @@ TEST(HoardService, PipelinedStreamPreservesDeliveryOrder) {
     EXPECT_EQ(trace.size(), harness.service.events_ingested());
     const std::vector<std::string> got = RecoveredSnapshots(&fs, "/srv", 1);
     EXPECT_EQ(want[0], got[0]);
+  }
+}
+
+// --- the control plane off the data path --------------------------------------
+
+// `events` with every path moved under `prefix`, so a test can tell one
+// tenant's files from another's by name.
+std::vector<TraceEvent> UnderPrefix(std::vector<TraceEvent> events, const std::string& prefix) {
+  for (TraceEvent& e : events) {
+    if (!e.path.empty()) {
+      e.path = prefix + e.path;
+    }
+  }
+  return events;
+}
+
+TEST(HoardService, TickWorkDoesNotFenceOtherTenants) {
+  // Tick's work on one tenant holds only that tenant's lock: while tenant
+  // 1's refill is stuck inside size_of, tenant 2's next frame is applied
+  // and the Ping barrier behind it is answered.
+  std::atomic<Time> now{kMicrosPerSecond};
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  bool armed = false;
+  bool entered = false;
+  bool released = false;
+  const auto release = [&] {
+    const std::lock_guard<std::mutex> lock(latch_mu);
+    released = true;
+    latch_cv.notify_all();
+  };
+
+  const std::string socket = SocketPath("tick-fence");
+  MemFs fs;
+  HoardServiceConfig config = BaseServiceConfig(2);
+  config.io_threads = 3;
+  config.poll_interval_ms = 10;
+  config.clock = [&now] { return now.load(); };
+  config.router.checkpoint_interval = 1000 * kMicrosPerHour;
+  config.router.hoard_budget_bytes = 1 << 20;
+  config.router.hoard_interval = kMicrosPerHour;
+  // Once armed, sizing any of tenant 1's files blocks until released.
+  config.router.size_of = [&](PathId path) -> uint64_t {
+    if (GlobalPaths().PathOf(path).rfind("/one/", 0) == 0) {
+      std::unique_lock<std::mutex> lock(latch_mu);
+      if (armed && !released) {
+        entered = true;
+        latch_cv.notify_all();
+        latch_cv.wait(lock, [&] { return released; });
+      }
+    }
+    return 4096;
+  };
+  ServiceHarness harness(&fs, config, socket);
+  ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
+
+  // Accept order puts tenant 1's connection on worker shard 1 and tenant
+  // 2's on worker shard 2; each Ping confirms its tenant is resident.
+  auto one = SeerClient::Connect("unix:" + socket);
+  ASSERT_TRUE(one.ok()) << one.status().message();
+  ASSERT_TRUE(one->StreamEvents(1, UnderPrefix(TenantEvents(0x1a, 150), "/one")).ok());
+  ASSERT_TRUE(one->Ping().ok());
+  auto two = SeerClient::Connect("unix:" + socket);
+  ASSERT_TRUE(two.ok()) << two.status().message();
+  ASSERT_TRUE(two->StreamEvents(2, UnderPrefix(TenantEvents(0x2b, 150), "/two")).ok());
+  ASSERT_TRUE(two->Ping().ok());
+
+  std::future<Status> two_acked;
+  // Declared after the harness and the future: runs first on any exit, so
+  // neither the stuck Tick nor tenant 2's barrier outlives the test.
+  const struct ReleaseOnExit {
+    std::function<void()> release;
+    ~ReleaseOnExit() { release(); }
+  } guard{release};
+
+  // Arm the latch, touch tenant 1's files so its next refill sizes them
+  // (cold or warm), then pass the hoard interval.
+  {
+    const std::lock_guard<std::mutex> lock(latch_mu);
+    armed = true;
+  }
+  ASSERT_TRUE(one->StreamEvents(1, UnderPrefix(TenantEvents(0x1c, 20), "/one")).ok());
+  ASSERT_TRUE(one->Ping().ok());
+  now.store(now.load() + 2 * kMicrosPerHour);
+  {
+    std::unique_lock<std::mutex> lock(latch_mu);
+    ASSERT_TRUE(latch_cv.wait_for(lock, std::chrono::seconds(10), [&] { return entered; }))
+        << "no refill of tenant 1 reached size_of";
+  }
+
+  // Only release() below unblocks the refill, so an ack within the wait
+  // arrived while tenant 1's refill was still stuck.
+  two_acked = std::async(std::launch::async, [&] {
+    const Status streamed = two->StreamEvents(2, UnderPrefix(TenantEvents(0x2d, 20), "/two"));
+    return streamed.ok() ? two->Ping() : streamed;
+  });
+  EXPECT_EQ(std::future_status::ready, two_acked.wait_for(std::chrono::seconds(5)))
+      << "tenant 2's barrier waited for Tick's refill of tenant 1";
+  release();
+  const Status acked = two_acked.get();
+  EXPECT_TRUE(acked.ok()) << acked.message();
+
+  ASSERT_TRUE(one->Shutdown().ok());
+  harness.Join();
+  ASSERT_TRUE(harness.serve_status.ok()) << harness.serve_status.message();
+  const auto stats = harness.service.router().Stats(1);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GE(stats->refills, 1u);
+}
+
+TEST(HoardService, WalTriggerStartsCheckpointWithoutOtherTraffic) {
+  // A delivery that takes a tenant's WAL to wal_checkpoint_bytes wakes the
+  // control shard itself. With a one-minute poll interval, a clock that
+  // never moves, one connection on a worker shard and no control frame,
+  // the checkpoint still starts, and its completion wakes shard 0 again
+  // to harvest it.
+  const std::string socket = SocketPath("wal-trigger");
+  MemFs fs;
+  HoardServiceConfig config = BaseServiceConfig(2);
+  config.io_threads = 2;
+  config.poll_interval_ms = 60'000;
+  config.router.wal_checkpoint_bytes = 2048;
+  ServiceHarness harness(&fs, config, socket);
+  ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
+
+  auto client = SeerClient::Connect("unix:" + socket);
+  ASSERT_TRUE(client.ok()) << client.status().message();
+  ASSERT_TRUE(client->StreamEvents(1, TenantEvents(0x3a1, 400)).ok());
+
+  // The store's genesis snapshot is generation 1, so generation 2 is the
+  // WAL-triggered checkpoint; its harvest writes the aux file, which holds
+  // the trace's misses.
+  const std::string dir = SnapshotStore::TenantDirectory("/srv", 1);
+  const SnapshotStore store(&fs, dir);
+  bool checkpointed = false;
+  bool harvested = false;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!(checkpointed && harvested) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto snapshots = store.ListSnapshots();
+    checkpointed = snapshots.ok() && !snapshots->empty() && snapshots->back() >= 2;
+    harvested = fs.Exists(dir + "/aux.seer");
+  }
+  EXPECT_TRUE(checkpointed) << "no checkpoint started";
+  EXPECT_TRUE(harvested) << "the checkpoint was not harvested";
+
+  ASSERT_TRUE(client->Shutdown().ok());
+  harness.Join();
+  EXPECT_TRUE(harness.serve_status.ok()) << harness.serve_status.message();
+}
+
+TEST(HoardService, ResidencyBudgetsHoldWhileStreaming) {
+  // Two connections on worker shards stream six tenants while shard 0
+  // ticks every few milliseconds, so Tick's shared-side pass hands over to
+  // the exclusive eviction pass again and again under load, and evicted
+  // tenants restore on their next frame. Once the streams stop, the budget
+  // holds, and the stores still equal the in-process oracle.
+  constexpr size_t kTenants = 6;
+  constexpr size_t kConnections = 2;
+  std::vector<std::vector<TraceEvent>> traces;
+  for (size_t t = 0; t < kTenants; ++t) {
+    traces.push_back(TenantEvents(0xB0D0 + static_cast<uint32_t>(t), 300));
+  }
+
+  std::vector<std::string> want;
+  uint64_t footprint = 0;
+  {
+    MemFs fs;
+    TenantRouter router(&fs, "/srv", BaseRouterConfig(1));
+    for (size_t t = 0; t < kTenants; ++t) {
+      Observer observer(ObserverConfig{}, /*fs=*/nullptr);
+      const TenantId tenant = static_cast<TenantId>(t + 1);
+      observer.set_sink(router.SinkFor(tenant));
+      observer.set_miss_listener(router.MissLogFor(tenant));
+      for (const TraceEvent& event : traces[t]) {
+        observer.OnEvent(event);
+      }
+    }
+    for (size_t t = 0; t < kTenants; ++t) {
+      footprint += router.Stats(static_cast<TenantId>(t + 1))->memory_bytes;
+    }
+    ASSERT_TRUE(router.Shutdown().ok());
+    want = RecoveredSnapshots(&fs, "/srv", kTenants);
+  }
+  ASSERT_GT(footprint, 0u);
+
+  struct Budget {
+    const char* name;
+    size_t tenants;
+    uint64_t bytes;
+  };
+  for (const Budget& budget : {Budget{"tenants", 2, 0}, Budget{"bytes", 0, footprint / 3}}) {
+    SCOPED_TRACE(budget.name);
+    const std::string socket = SocketPath(std::string("budget-") + budget.name);
+    MemFs fs;
+    HoardServiceConfig config = BaseServiceConfig(2);
+    config.io_threads = 3;
+    config.poll_interval_ms = 2;
+    config.clock = nullptr;  // the monotonic clock: a Tick every poll interval
+    config.router.checkpoint_interval = 1000 * kMicrosPerHour;
+    config.router.max_resident_tenants = budget.tenants;
+    config.router.max_resident_bytes = budget.bytes;
+    ServiceHarness harness(&fs, config, socket);
+    ASSERT_TRUE(harness.listen_status.ok()) << harness.listen_status.message();
+
+    // Connection d carries tenants d, d + kConnections, ..., one frame per
+    // tenant in turn, with a delivery barrier every few frames.
+    std::vector<std::thread> devices;
+    std::atomic<int> failures{0};
+    for (size_t d = 0; d < kConnections; ++d) {
+      devices.emplace_back([&, d] {
+        auto client = SeerClient::Connect("unix:" + socket);
+        if (!client.ok()) {
+          ++failures;
+          return;
+        }
+        std::mt19937 rng(0xB0D + static_cast<uint32_t>(d));
+        std::vector<size_t> cursor(kTenants, 0);
+        size_t frames = 0;
+        bool remaining = true;
+        while (remaining) {
+          remaining = false;
+          for (size_t t = d; t < kTenants; t += kConnections) {
+            if (cursor[t] >= traces[t].size()) {
+              continue;
+            }
+            const size_t n = std::min<size_t>(1 + rng() % 97, traces[t].size() - cursor[t]);
+            const std::vector<TraceEvent> chunk(traces[t].begin() + cursor[t],
+                                                traces[t].begin() + cursor[t] + n);
+            if (!client->StreamEvents(static_cast<TenantId>(t + 1), chunk).ok()) {
+              ++failures;
+              return;
+            }
+            cursor[t] += n;
+            remaining |= cursor[t] < traces[t].size();
+            if (++frames % 4 == 0 && !client->Ping().ok()) {
+              ++failures;
+              return;
+            }
+          }
+        }
+        if (!client->Ping().ok()) {
+          ++failures;
+        }
+      });
+    }
+    for (std::thread& device : devices) {
+      device.join();
+    }
+    ASSERT_EQ(0, failures.load());
+
+    // With the streams stopped, timed Ticks settle residency within the
+    // budget; kTenantStats reports fresh figures.
+    auto control = SeerClient::Connect("unix:" + socket);
+    ASSERT_TRUE(control.ok()) << control.status().message();
+    bool settled = false;
+    uint64_t evictions = 0;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!settled && std::chrono::steady_clock::now() < deadline) {
+      const auto stats = control->Stats();
+      ASSERT_TRUE(stats.ok()) << stats.status().message();
+      size_t resident = 0;
+      uint64_t resident_bytes = 0;
+      evictions = 0;
+      for (const TenantStats& s : *stats) {
+        resident += s.resident ? 1 : 0;
+        resident_bytes += s.memory_bytes;
+        evictions += s.evictions;
+      }
+      settled = (budget.tenants == 0 || resident <= budget.tenants) &&
+                (budget.bytes == 0 || resident_bytes <= budget.bytes);
+      if (!settled) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    }
+    EXPECT_TRUE(settled) << "residency never came within the budget";
+    EXPECT_GT(evictions, 0u);
+
+    ASSERT_TRUE(control->Shutdown().ok());
+    harness.Join();
+    ASSERT_TRUE(harness.serve_status.ok()) << harness.serve_status.message();
+    const std::vector<std::string> got = RecoveredSnapshots(&fs, "/srv", kTenants);
+    for (size_t t = 0; t < kTenants; ++t) {
+      EXPECT_EQ(want[t], got[t]) << "tenant=" << t + 1;
+    }
   }
 }
 

@@ -33,6 +33,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/async_pipeline.h"
@@ -71,11 +72,67 @@ struct Subcommand {
   const char* synopsis;  // one line, shown by the global usage
   const char* help;      // full reference, shown by `help CMD` / `--help`
   int (*run)(int argc, char** argv, int start);
+  // The flags `run` reads, space separated; a trailing '=' marks one that
+  // takes a value, given as `--flag VALUE` or `--flag=VALUE`. Dispatch
+  // rejects any other flag before `run` starts, so a mistyped or retired
+  // flag fails loudly instead of being ignored, and positional scanning
+  // reads it to tell a flag's value from a positional. Every flag the help
+  // names must be here (tests/seerctl_flags_test.py checks).
+  const char* flags = "";
   // True when `run` is itself a registry: a trailing --help then belongs
   // to the nested sub-command (`seerctl db save --help`), so dispatch must
-  // not intercept it here.
+  // not intercept it here, and the nested command checks its own flags.
   bool has_subcommands = false;
 };
+
+// Looks the flag `name` up in `flags` (see Subcommand::flags); when it is
+// listed, *takes_value says whether it takes a value.
+bool FindFlag(std::string_view flags, std::string_view name, bool* takes_value) {
+  while (!flags.empty()) {
+    const size_t space = flags.find(' ');
+    std::string_view spec = flags.substr(0, space);
+    flags = space == std::string_view::npos ? std::string_view() : flags.substr(space + 1);
+    *takes_value = !spec.empty() && spec.back() == '=';
+    if (*takes_value) {
+      spec.remove_suffix(1);
+    }
+    if (spec == name) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// A word that names a flag; a lone "-" is a positional (stdin, say).
+bool IsFlagWord(const char* arg) { return arg[0] == '-' && arg[1] != '\0'; }
+
+// The first argument at or after `start` that is a flag `flags` does not
+// list, or nullptr. A listed value flag spelled without '=' consumes the
+// word after it.
+const char* UnknownFlag(const char* flags, int argc, char** argv, int start) {
+  for (int i = start; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (!IsFlagWord(arg)) {
+      continue;
+    }
+    const char* inline_value = std::strchr(arg, '=');
+    const std::string_view name(arg, inline_value != nullptr
+                                         ? static_cast<size_t>(inline_value - arg)
+                                         : std::strlen(arg));
+    bool takes_value = false;
+    if (!FindFlag(flags, name, &takes_value) || (!takes_value && inline_value != nullptr)) {
+      return arg;
+    }
+    if (takes_value && inline_value == nullptr) {
+      ++i;  // the flag's value
+    }
+  }
+  return nullptr;
+}
+
+// The flags of the command RunRegistry is running, for positional scanning
+// (which words are a flag's value). Set before its `run` starts.
+const char* running_flags = "";
 
 int UsageFor(const char* program, const std::vector<Subcommand>& commands) {
   std::fprintf(stderr, "usage:\n");
@@ -112,6 +169,18 @@ int RunRegistry(const char* program, const std::vector<Subcommand>& commands, in
       std::printf("usage: %s %s\n\n%s", program, command.synopsis, command.help);
       return 0;
     }
+    if (!command.has_subcommands) {
+      if (const char* unknown = UnknownFlag(command.flags, argc, argv, start + 1)) {
+        // Name the command the way it was typed (`seerctl db save`).
+        std::string typed = program;
+        for (int i = 1; i <= start; ++i) {
+          typed += std::string(" ") + argv[i];
+        }
+        std::fprintf(stderr, "%s: unknown flag '%s'\n", typed.c_str(), unknown);
+        return 2;
+      }
+    }
+    running_flags = command.flags;
     return command.run(argc, argv, start + 1);
   }
   std::fprintf(stderr, "%s: unknown command '%s'\n\n", program, name.c_str());
@@ -120,10 +189,18 @@ int RunRegistry(const char* program, const std::vector<Subcommand>& commands, in
 
 // --- argument scanning -------------------------------------------------------
 
-// Returns the value following `flag`, or nullptr.
+// The value of `flag` at or after `start` — the word after `flag`, or the
+// text after '=' in `flag=value` — or nullptr.
 const char* FlagValue(int argc, char** argv, int start, const char* flag) {
-  for (int i = start; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
+  const size_t length = std::strlen(flag);
+  for (int i = start; i < argc; ++i) {
+    if (std::strncmp(argv[i], flag, length) != 0) {
+      continue;
+    }
+    if (argv[i][length] == '=') {
+      return argv[i] + length + 1;
+    }
+    if (argv[i][length] == '\0' && i + 1 < argc) {
       return argv[i + 1];
     }
   }
@@ -139,19 +216,19 @@ bool HasFlag(int argc, char** argv, int start, const char* flag) {
   return false;
 }
 
-// Flags that take no value, for positional scanning. A flag spelled
-// --name=value carries its value inline and is also bare.
-bool IsBareFlag(const char* arg) {
-  return std::strcmp(arg, "--binary") == 0 || std::strcmp(arg, "--stats") == 0 ||
-         std::strcmp(arg, "--deep") == 0 || std::strcmp(arg, "--help") == 0 ||
-         std::strcmp(arg, "-h") == 0 || std::strchr(arg, '=') != nullptr;
+// True when argv[i] is a flag whose value is the next word: a flag of the
+// running command that takes one, spelled without '='.
+bool ValueFollows(char** argv, int i) {
+  bool takes_value = false;
+  return std::strchr(argv[i], '=') == nullptr &&
+         FindFlag(running_flags, argv[i], &takes_value) && takes_value;
 }
 
 // First non-flag positional argument at or after `start`.
 const char* Positional(int argc, char** argv, int start) {
   for (int i = start; i < argc; ++i) {
-    if (argv[i][0] == '-') {
-      if (!IsBareFlag(argv[i])) {
+    if (IsFlagWord(argv[i])) {
+      if (ValueFollows(argv, i)) {
         ++i;  // skip the flag's value
       }
       continue;
@@ -165,8 +242,8 @@ const char* Positional(int argc, char** argv, int start) {
 const char* PositionalAt(int argc, char** argv, int start, int index) {
   int seen = 0;
   for (int i = start; i < argc; ++i) {
-    if (argv[i][0] == '-') {
-      if (!IsBareFlag(argv[i])) {
+    if (IsFlagWord(argv[i])) {
+      if (ValueFollows(argv, i)) {
         ++i;  // skip the flag's value
       }
       continue;
@@ -182,15 +259,7 @@ const char* PositionalAt(int argc, char** argv, int start, int index) {
 // the flag is absent. An invalid count is fatal: silently running at the
 // wrong width would change every parallel phase's sizing.
 int ThreadsFlagOrDie(int argc, char** argv, int start) {
-  const char* value = nullptr;
-  for (int i = start; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      value = argv[i] + 10;
-    }
-  }
-  if (const char* v = FlagValue(argc, argv, start, "--threads")) {
-    value = v;
-  }
+  const char* value = FlagValue(argc, argv, start, "--threads");
   if (value == nullptr) {
     return 0;
   }
@@ -205,15 +274,7 @@ int ThreadsFlagOrDie(int argc, char** argv, int start) {
 // Validated value of --io-threads K / --io-threads=K; 0 when absent
 // (serve then sizes the I/O plane with DefaultThreadCount()).
 int IoThreadsFlagOrDie(int argc, char** argv, int start) {
-  const char* value = nullptr;
-  for (int i = start; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--io-threads=", 13) == 0) {
-      value = argv[i] + 13;
-    }
-  }
-  if (const char* v = FlagValue(argc, argv, start, "--io-threads")) {
-    value = v;
-  }
+  const char* value = FlagValue(argc, argv, start, "--io-threads");
   if (value == nullptr) {
     return 0;
   }
@@ -1002,18 +1063,18 @@ const std::vector<Subcommand>& DbCommands() {
        "an existing database file, committing one new generation.\n\n"
        "  --from-trace TRACE  replay TRACE through observer + correlator\n"
        "  --from-db DB        load the database file DB (written by\n"
-       "                      replay --save or db load -o)\n"
+       "                      `replay --save` or `db load -o`)\n"
        "  --params FILE       correlator parameters for --from-trace\n"
        "  --control FILE      observer control file for --from-trace\n"
        "  --keep N            snapshot generations to retain (default 2)\n",
-       DbSave},
+       DbSave, "--from-trace= --from-db= --params= --control= --keep="},
       {"load", "db load DIR [-o FILE]",
        "Recover the newest consistent state from the store at DIR (snapshot\n"
        "plus WAL replay, falling back past torn generations). With -o, write\n"
        "it to FILE as a database file, which every DB argument accepts;\n"
        "without, print a read-only text listing (params, file records,\n"
        "relations) to stdout.\n",
-       DbLoad},
+       DbLoad, "-o= --keep="},
       {"verify", "db verify DIR [--deep]",
        "Check the store's integrity: the newest snapshot chain (nearest\n"
        "full plus its deltas) must decode, the WAL chain must be gapless\n"
@@ -1022,19 +1083,19 @@ const std::vector<Subcommand>& DbCommands() {
        "healthy.\n\n"
        "  --deep   also CRC-check every snapshot file's sections, decode\n"
        "           every full, and validate every delta's base linkage\n",
-       DbVerify},
+       DbVerify, "--deep"},
       {"compact", "db compact DIR [--keep N]",
        "Fold the WAL chain into a fresh snapshot generation and prune old\n"
        "generations, bounding recovery replay time.\n\n"
        "  --keep N   snapshot generations to retain (default 2)\n",
-       DbCompact},
+       DbCompact, "--keep="},
       {"info", "db info DIR [--stats]",
        "Describe every generation in the store: snapshot kind (full or\n"
        "delta), size and health, WAL size, record count, and tail state.\n\n"
        "  --stats  also recover the store and report checkpoint-plane\n"
        "           numbers: seal stall, parallel full-encode time, and the\n"
        "           on-disk delta-to-full byte ratio\n",
-       DbInfo},
+       DbInfo, "--stats"},
   };
   return commands;
 }
@@ -1056,11 +1117,6 @@ int Db(int argc, char** argv, int start) {
 // --socket SPEC / --socket=SPEC: the live-service endpoint (net.h spec
 // syntax); nullptr selects the offline backend.
 const char* SocketFlag(int argc, char** argv, int start) {
-  for (int i = start; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--socket=", 9) == 0) {
-      return argv[i] + 9;
-    }
-  }
   return FlagValue(argc, argv, start, "--socket");
 }
 
@@ -1399,7 +1455,7 @@ const std::vector<Subcommand>& TenantCommands() {
        "tenant-NNNNNNNN store directory per tenant, each an ordinary\n"
        "single-instance store that `seerctl db` reads unchanged.\n"
        "With --socket, ask a live `seerctl serve` process instead.\n",
-       TenantList},
+       TenantList, "--socket="},
       {"stats", "tenant stats {ROOT | --socket SPEC} [--tenant ID] [--threads K]",
        "Per-tenant durable generation, tracked files, memory bytes, and\n"
        "state. Offline, each store is recovered read-only; with --socket,\n"
@@ -1409,18 +1465,18 @@ const std::vector<Subcommand>& TenantCommands() {
        "  --tenant ID   only this tenant\n"
        "  --threads K   offline recovery-decode threads (default:\n"
        "                SEER_THREADS, else all cores)\n",
-       TenantStatsCmd},
+       TenantStatsCmd, "--socket= --tenant= --threads="},
       {"checkpoint", "tenant checkpoint {ROOT | --socket SPEC} TENANT [--threads K]",
        "Synchronously checkpoint one tenant through the router: fold its\n"
        "WAL into a fresh snapshot generation and prune, exactly as the\n"
        "live service's staggered scheduler would.\n",
-       TenantCheckpoint},
+       TenantCheckpoint, "--socket= --threads="},
       {"evict", "tenant evict {ROOT | --socket SPEC} TENANT [--threads K]",
        "Run the seal-and-release eviction path for one tenant: settle any\n"
        "in-flight checkpoint, fold the WAL into a synchronous snapshot,\n"
        "release the in-memory state. The store is left with an empty WAL,\n"
        "so the next restore replays nothing.\n",
-       TenantEvict},
+       TenantEvict, "--socket= --threads="},
       {"params", "tenant params {ROOT | --socket SPEC} TENANT [--set FILE]",
        "Print one tenant's effective correlator parameters (params_io\n"
        "text), or with --set FILE install a persisted per-tenant override\n"
@@ -1428,12 +1484,12 @@ const std::vector<Subcommand>& TenantCommands() {
        "store directory (params.seer), survive eviction and restart, and\n"
        "apply live when set through a running server (max_neighbors stays\n"
        "pinned until restore; it bakes the relation-table slab geometry).\n",
-       TenantParams},
+       TenantParams, "--socket= --set= --threads="},
       {"shutdown", "tenant shutdown --socket SPEC",
        "Gracefully stop a live server: it acknowledges, drains buffered\n"
        "frames, then seals and checkpoints every resident tenant before\n"
        "exiting.\n",
-       TenantShutdown},
+       TenantShutdown, "--socket="},
   };
   return commands;
 }
@@ -1548,7 +1604,7 @@ const std::vector<Subcommand>& Commands() {
        "  --seed S        RNG seed (default 1)\n"
        "  --binary        write the compact binary trace format\n"
        "  -o FILE         output file (required)\n",
-       GenTrace},
+       GenTrace, "--machine= --hours= --seed= --binary -o="},
       {"stats", "stats TRACE",
        "Per-operation, per-status, and per-file statistics for a trace.\n", Stats},
       {"replay", "replay TRACE [--params FILE] [--control FILE] [--stats] [--save FILE]",
@@ -1563,43 +1619,44 @@ const std::vector<Subcommand>& Commands() {
        "                  segments, barriers, measure and fold time)\n"
        "  --save FILE     save the learned database as a snapshot file, the\n"
        "                  DB argument of clusters/cluster/hoard/suggest-reorg\n",
-       Replay},
+       Replay, "--params= --control= --stats --save="},
       {"clusters", "clusters DB [--min-size N]",
        "Dump the project clusters of a saved database file.\n\n"
        "  --min-size N   only clusters with at least N members (default 2)\n",
-       Clusters},
+       Clusters, "--min-size="},
       {"cluster", "cluster DB [--stats] [--threads K]",
        "Build project clusters with the parallel engine and print build\n"
        "statistics.\n\n"
        "  --stats        also print dirty-set size, rescored files, edges\n"
        "  --threads K    scoring threads (default: SEER_THREADS, else all\n"
        "                 cores); --threads=K is accepted too\n",
-       ClusterStats},
+       ClusterStats, "--stats --threads="},
       {"hoard", "hoard DB --budget-mb MB [--stats]",
        "Compute hoard contents from a saved database file under a space\n"
        "budget. --stats prints the fill-plane breakdown (aggregate cache\n"
        "hits, phase times, thread count).\n",
-       Hoard},
+       Hoard, "--budget-mb= --stats"},
       {"check-config", "check-config FILE",
        "Validate a system control file and echo the parsed configuration.\n", CheckConfig},
       {"suggest-reorg", "suggest-reorg DB [--min-confidence F]",
-       "Suggest directory reorganisations from the cluster structure.\n", SuggestReorg},
+       "Suggest directory reorganisations from the cluster structure.\n",
+       SuggestReorg, "--min-confidence="},
       {"pipeline", "pipeline TRACE [--control FILE]",
        "Replay a trace through the instrumented observer -> sink-chain ->\n"
        "async-correlator data plane and print per-stage counters, latency\n"
        "percentiles, and queue statistics.\n",
-       Pipeline},
+       Pipeline, "--control="},
       {"db", "db {save|load|verify|compact|info} DIR ...",
        "Operate on a crash-safe snapshot+WAL store directory.\n"
        "Run `seerctl db` for the sub-command list.\n",
-       Db, /*has_subcommands=*/true},
+       Db, "", /*has_subcommands=*/true},
       {"tenant", "tenant {list|stats|evict|checkpoint|params|shutdown} ...",
        "Operate on a multi-tenant hoard-service root: a directory of\n"
        "tenant-NNNNNNNN single-instance stores driven by one TenantRouter\n"
        "(see src/server/tenant_router.h). Every verb works offline against\n"
        "ROOT or live against a server via --socket SPEC. Run\n"
        "`seerctl tenant` for the sub-command list.\n",
-       Tenant, /*has_subcommands=*/true},
+       Tenant, "", /*has_subcommands=*/true},
       {"serve", "serve ROOT --socket SPEC [--threads K] [--io-threads K] [--params FILE] [--control FILE]",
        "Run the hoard service: listen on SPEC (unix:PATH, tcp:HOST:PORT,\n"
        "or a bare UDS path), shard connections over the I/O threads, route\n"
@@ -1616,12 +1673,14 @@ const std::vector<Subcommand>& Commands() {
        "  --checkpoint-interval-s N per-tenant checkpoint period\n"
        "  --max-resident N          tenant residency budget (0 = unbounded)\n"
        "  --max-resident-mb MB      resident-memory budget (0 = unbounded)\n",
-       ServeCmd},
+       ServeCmd,
+       "--socket= --threads= --io-threads= --params= --control= --checkpoint-interval-s= "
+       "--max-resident= --max-resident-mb="},
       {"stream", "stream TRACE --socket SPEC --tenant ID",
        "Stream a trace file (text or binary) to a live server as one\n"
        "tenant's reference stream, batched into self-contained event\n"
        "frames, and wait until every event is ingested.\n",
-       StreamCmd},
+       StreamCmd, "--socket= --tenant="},
   };
   return commands;
 }
