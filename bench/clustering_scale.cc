@@ -1,24 +1,20 @@
-// Section 3.3.2 — Clustering time complexity, plus the parallel and
-// incremental engine.
+// Section 3.3.2 — Clustering time complexity, plus the parallel engine.
 //
 // SEER's variation of Jarvis-Patrick avoids the O(N^2) all-pairs neighbor
 // comparison by reusing the relation table's per-file lists, giving O(N)
 // time. This bench measures wall-clock clustering time across a range of
-// file counts in three configurations:
+// file counts in two configurations:
 //
-//   serial     — one thread, full rescore (the pre-parallel baseline);
-//   parallel   — the pool's thread count (SEER_THREADS or all cores),
-//                full rescore;
-//   incremental— warm edge cache, ~1% of files touched with fresh
-//                observations, rebuild rescoring only the dirty set.
+//   serial     — one thread (the pre-parallel baseline);
+//   parallel   — the pool's thread count (SEER_THREADS or all cores).
 //
-// All three produce bit-identical ClusterSets (checked here); per-file cost
+// Both produce bit-identical ClusterSets (checked here); per-file cost
 // should stay roughly flat as N grows (the O(N) claim).
 //
 // In addition to the interactive table, the binary always writes
 // BENCH_clustering.json — rows of {files, clusters, serial_ms, parallel_ms,
-// speedup} plus the incremental measurement — so future changes have a
-// machine-readable perf trajectory to compare against.
+// speedup} — so future changes have a machine-readable perf trajectory to
+// compare against.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -74,27 +70,6 @@ bool SameClusters(const ClusterSet& a, const ClusterSet& b) {
   return true;
 }
 
-// Touches ~1% of files with fresh cross-project observations: one shared
-// reference stream over every touched file creates new neighbor-list
-// entries (set changes), dirtying the touched files and their reverse
-// neighbors — the steady-state "a bit of work happened since the last
-// refill" shape.
-int TouchOnePercent(Correlator* correlator, int n_files, Time* t) {
-  const int touched = n_files / 100 > 0 ? n_files / 100 : 1;
-  const int stride = n_files / touched;
-  for (int k = 0; k < touched; ++k) {
-    const int f = k * stride;
-    FileReference ref;
-    ref.pid = 77'000;  // one fresh stream crossing project boundaries
-    ref.kind = RefKind::kPoint;
-    ref.path = GlobalPaths().Intern("/p" + std::to_string(f / kProjectSize) + "/f" +
-                                    std::to_string(f % kProjectSize));
-    ref.time = (*t += 1000);
-    correlator->OnReference(ref);
-  }
-  return touched;
-}
-
 }  // namespace
 }  // namespace seer
 
@@ -110,7 +85,7 @@ int main() {
   bench::PrintHeader(
       "Clustering scalability (Section 3.3.2): per-file cost should stay\n"
       "roughly flat with N (the O(N) shared-neighbor variation); parallel\n"
-      "scoring and incremental rescore cut the constant");
+      "scoring cuts the constant");
   std::printf("threads for the parallel column: %d (override with SEER_THREADS)\n\n", threads);
 
   std::printf("%8s %9s %11s %12s %8s %9s\n", "files", "clusters", "serial(ms)",
@@ -131,7 +106,6 @@ int main() {
 
   for (int n = 1024; n <= max_n; n *= 2) {
     auto correlator = LoadedCorrelator(n, kProjectSize);
-    correlator->SetIncrementalClustering(false);
 
     Row row;
     row.files = n;
@@ -154,34 +128,8 @@ int main() {
     rows.push_back(row);
   }
 
-  // Incremental rescore at the largest N: warm the cache with a full
-  // build, touch ~1% of files, rebuild.
-  const int n = max_n;
-  auto correlator = LoadedCorrelator(n, kProjectSize);
-  correlator->SetClusterThreads(threads);
-  (void)correlator->BuildClusters();  // warm the edge cache (full build)
-  Time t = 1'000'000'000;
-  const int touched = TouchOnePercent(correlator.get(), n, &t);
-  ClusterSet incremental_set;
-  const double incremental_ms = TimedBuildMs(correlator.get(), &incremental_set);
-  const ClusterBuildStats inc_stats = correlator->last_cluster_stats();
-  // Same state, full rescore: the apples-to-apples baseline and the
-  // determinism cross-check for the incremental result.
-  correlator->SetIncrementalClustering(false);
-  ClusterSet full_after;
-  const double full_after_ms = TimedBuildMs(correlator.get(), &full_after);
-  identical = identical && SameClusters(incremental_set, full_after);
-
   bench::PrintRule();
-  std::printf(
-      "incremental @ N=%d: touched %d files (+%zu dirty, %zu rescored),\n"
-      "  full build %.2f ms, incremental rebuild %.2f ms (%.1f%% of full)\n"
-      "  phase split: pack %.2f, plan %.2f, score %.2f, merge %.2f ms\n",
-      n, touched, inc_stats.dirty_files, inc_stats.files_rescored, full_after_ms,
-      incremental_ms, 100.0 * incremental_ms / full_after_ms, inc_stats.pack_ms,
-      inc_stats.plan_ms, inc_stats.score_ms, inc_stats.merge_ms);
-  std::printf("outputs identical across serial/parallel/incremental: %s\n",
-              identical ? "yes" : "NO — BUG");
+  std::printf("outputs identical across serial/parallel: %s\n", identical ? "yes" : "NO — BUG");
   std::printf(
       "paper reference: ~2 CPU minutes for a typical user's ~20,000 files\n"
       "on a 133 MHz Pentium; a rare, deferrable event.\n");
@@ -208,16 +156,7 @@ int main() {
                  row.serial_ms / row.parallel_ms, row.parallel_ms * 1000.0 / row.files,
                  i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"incremental\": {\n");
-  std::fprintf(out, "    \"files\": %d,\n", n);
-  std::fprintf(out, "    \"touched\": %d,\n", touched);
-  std::fprintf(out, "    \"dirty_files\": %zu,\n", inc_stats.dirty_files);
-  std::fprintf(out, "    \"files_rescored\": %zu,\n", inc_stats.files_rescored);
-  std::fprintf(out, "    \"full_ms\": %.3f,\n", full_after_ms);
-  std::fprintf(out, "    \"incremental_ms\": %.3f,\n", incremental_ms);
-  std::fprintf(out, "    \"ratio\": %.4f\n", incremental_ms / full_after_ms);
-  std::fprintf(out, "  }\n");
+  std::fprintf(out, "  ]\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("\nwrote %s\n", path);

@@ -192,6 +192,7 @@ int main() {
         for (size_t i = base; i < base + n; ++i) {
           sink->OnReference(stream[i]);
         }
+        r->AfterDelivery(static_cast<TenantId>(t + 1));  // the WAL trigger, as a transport
         delivered += n;
       }
       now += 5 * kMicrosPerSecond;

@@ -613,9 +613,9 @@ IngestCost MeasureIngestThroughput(const std::vector<IngestEvent>& events) {
 // deleted-neighbor scan (whole-FileRecord loads, as the old code did), the
 // farthest-mean replacement with a reservoir tie-break, the aging priority,
 // means recomputed from the accumulators on every replacement scan, plus
-// the reverse index and set-change epoch stamps the real table maintains on
-// every membership change. Replays the same observation stream as the slab
-// table below, so the two measure identical work on different layouts.
+// the reverse index the real table maintains on every membership change.
+// Replays the same observation stream as the slab table below, so the two
+// measure identical work on different layouts.
 class LegacyNeighborTable {
  public:
   LegacyNeighborTable(const SeerParams& params, const FileTable* files)
@@ -650,7 +650,6 @@ class LegacyNeighborTable {
     cand.last_update = update_count_;
     if (list.size() < static_cast<size_t>(params_.max_neighbors)) {
       list.push_back(cand);
-      Stamp(from);
       RevAdd(from, to);
       return;
     }
@@ -663,7 +662,6 @@ class LegacyNeighborTable {
       if (files_->Get(list[i].id).deleted) {
         RevRemove(from, list[i].id);
         list[i] = cand;
-        Stamp(from);
         RevAdd(from, to);
         return;
       }
@@ -688,7 +686,6 @@ class LegacyNeighborTable {
     if (worst_dist > cand.MeanDistance(params_.mean_kind)) {
       RevRemove(from, list[worst].id);
       list[worst] = cand;
-      Stamp(from);
       RevAdd(from, to);
       return;
     }
@@ -704,18 +701,11 @@ class LegacyNeighborTable {
     if (update_count_ - oldest_update > params_.aging_updates) {
       RevRemove(from, list[oldest].id);
       list[oldest] = cand;
-      Stamp(from);
       RevAdd(from, to);
     }
   }
 
  private:
-  void Stamp(FileId f) {
-    if (set_stamp_.size() <= f) {
-      set_stamp_.resize(f + 1, 0);
-    }
-    set_stamp_[f] = ++epoch_;
-  }
   void RevAdd(FileId from, FileId to) {
     if (reverse_.size() <= to) {
       reverse_.resize(to + 1);
@@ -741,8 +731,6 @@ class LegacyNeighborTable {
   std::mt19937_64 rng_;
   std::vector<std::vector<Neighbor>> lists_;
   std::vector<std::vector<FileId>> reverse_;
-  std::vector<uint64_t> set_stamp_;
-  uint64_t epoch_ = 0;
   uint64_t update_count_ = 0;
 };
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <set>
+#include <string_view>
 
 #include "src/util/dsu.h"
 #include "src/util/path.h"
@@ -14,13 +16,6 @@ namespace seer {
 namespace {
 
 constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
-
-// Per-slot rescore modes (rescore_). Partial keeps cached edges to clean
-// targets and rescores only edges touching dirty files; full rebuilds the
-// bucket from scratch.
-constexpr uint8_t kKeepBucket = 0;
-constexpr uint8_t kPartialRescore = 1;
-constexpr uint8_t kFullRescore = 2;
 
 // Task granularity for the parallel phases. Chunks are coarse and
 // thread-proportional — a few contiguous ranges per worker — rather than a
@@ -52,6 +47,32 @@ size_t CountComponents(std::string_view path) {
     }
   }
   return count;
+}
+
+// Splits the directory components of `path` (every component but the
+// basename, `count` of them) into out[0, count).
+void SplitDirs(std::string_view path, size_t count, std::string_view* out) {
+  size_t pos = 0;
+  for (size_t k = 0; k < count; ++k) {
+    while (pos < path.size() && path[pos] == '/') {
+      ++pos;
+    }
+    const size_t start = pos;
+    while (pos < path.size() && path[pos] != '/') {
+      ++pos;
+    }
+    out[k] = path.substr(start, pos - start);
+  }
+}
+
+// Directory distance (Section 3.3.3) between two split dirnames: the
+// components after their longest common prefix, counted on both sides.
+int DirDistance(const std::string_view* a, size_t na, const std::string_view* b, size_t nb) {
+  size_t common = 0;
+  while (common < na && common < nb && a[common] == b[common]) {
+    ++common;
+  }
+  return static_cast<int>((na - common) + (nb - common));
 }
 
 }  // namespace
@@ -95,17 +116,11 @@ void ClusterBuilder::AddInvestigatedPair(FileId a, FileId b, double strength) {
     inv_partners_[a].push_back(b);
     inv_partners_[b].push_back(a);
   }
-  // Even a repeat pair changes the accumulated strength, hence both
-  // endpoints' edge scores.
-  inv_dirty_.push_back(a);
-  inv_dirty_.push_back(b);
 }
 
 void ClusterBuilder::ClearInvestigatedPairs() {
   investigated_.Clear();
   inv_partners_.clear();
-  inv_dirty_.clear();
-  inv_cleared_ = true;
 }
 
 double ClusterBuilder::InvestigatedStrength(FileId a, FileId b) const {
@@ -181,189 +196,82 @@ double ClusterBuilder::AdjustedSharedCount(FileId from, FileId to) const {
   return x;
 }
 
-void ClusterBuilder::RefreshFileInputs(FileId f) const {
-  std::vector<FileId>& row = live_row_[f];
-  row.clear();
-  // Append overload: one pass over the id stripe, no temporary vector.
-  relations_->LiveNeighborIds(f, &row);
-  std::sort(row.begin(), row.end());
-
-  // One interner shared-lock hit per refreshed file, not per scored edge;
-  // the view is stable (the interner is append-only).
-  const std::string_view path = files_->PathOf(f);
-  file_path_[f] = path;
-  std::vector<std::string_view>& dirs = file_dirs_[f];
-  dirs.clear();
-  const size_t comps = CountComponents(path);
-  const size_t want = comps > 0 ? comps - 1 : 0;  // drop the basename
-  dirs.reserve(want);
-  size_t pos = 0;
-  while (pos < path.size() && dirs.size() < want) {
-    while (pos < path.size() && path[pos] == '/') {
-      ++pos;
-    }
-    const size_t start = pos;
-    while (pos < path.size() && path[pos] != '/') {
-      ++pos;
-    }
-    if (pos > start) {
-      dirs.push_back(path.substr(start, pos - start));
-    }
-  }
-}
-
-int ClusterBuilder::DirDistance(FileId a, FileId b) const {
-  const std::vector<std::string_view>& da = file_dirs_[a];
-  const std::vector<std::string_view>& db = file_dirs_[b];
-  size_t common = 0;
-  while (common < da.size() && common < db.size() && da[common] == db[common]) {
-    ++common;
-  }
-  return static_cast<int>((da.size() - common) + (db.size() - common));
-}
-
-bool ClusterBuilder::PlanIncremental(const std::vector<FileId>& candidates) const {
-  const size_t n = candidates.size();
-  rescore_.assign(n, kFullRescore);
-  fast_union_ok_ = false;
-  stats_.dirty_files = 0;
-  if (!incremental_enabled_ || !cache_valid_ || inv_cleared_) {
-    return false;
-  }
-
-  // D: files whose live neighbor sets (or investigated strengths, or
-  // candidacy) may have changed since the cached build. Files entering or
-  // leaving the candidate set dirty their reverse neighbors too: those
-  // rows gained or lost a live member without any relation-table event.
-  std::vector<FileId> dirty;
-  relations_->CollectChangedSince(built_epoch_, &dirty);
-  dirty.insert(dirty.end(), inv_dirty_.begin(), inv_dirty_.end());
-  fast_union_ok_ = true;
-  for (const FileId f : candidates) {
-    if (f >= was_candidate_.size() || !was_candidate_[f]) {
-      dirty.push_back(f);
-      const std::vector<FileId>& rev = relations_->ReverseNeighborsOf(f);
-      dirty.insert(dirty.end(), rev.begin(), rev.end());
-    }
-  }
-  for (const FileId f : cached_candidates_) {
-    if (f >= slot_of_.size() || slot_of_[f] == kNoSlot) {
-      // A removed candidate may have been the only connection between its
-      // former cluster-mates, so the cached component labels are void.
-      fast_union_ok_ = false;
-      dirty.push_back(f);
-      const std::vector<FileId>& rev = relations_->ReverseNeighborsOf(f);
-      dirty.insert(dirty.end(), rev.begin(), rev.end());
-    }
-  }
-
-  dirty_flag_.assign(slot_of_.size(), 0);
-  std::vector<FileId> unique_dirty;
-  unique_dirty.reserve(dirty.size());
-  for (const FileId d : dirty) {
-    if (d >= dirty_flag_.size() || dirty_flag_[d]) {
-      continue;  // beyond every table: no slot, no rows, nothing to rescore
-    }
-    dirty_flag_[d] = 1;
-    unique_dirty.push_back(d);
-  }
-  stats_.dirty_files = unique_dirty.size();
-
-  // A: candidate slots whose cached edge buckets may hold a stale score —
-  // the dirty files themselves (their own row changed: full rescore), plus
-  // every file whose list names a dirty file and every investigated
-  // partner (only edges *to* the dirty file are stale: partial rescore).
-  rescore_.assign(n, kKeepBucket);
-  size_t rescore_count = 0;
-  auto mark = [&](FileId f, uint8_t mode) {
-    if (f >= slot_of_.size()) {
-      return;
-    }
-    const uint32_t slot = slot_of_[f];
-    if (slot == kNoSlot) {
-      return;
-    }
-    if (rescore_[slot] == kKeepBucket) {
-      ++rescore_count;
-    }
-    if (rescore_[slot] < mode) {
-      rescore_[slot] = mode;
-    }
-  };
-  for (const FileId d : unique_dirty) {
-    mark(d, kFullRescore);
-    for (const FileId owner : relations_->ReverseNeighborsOf(d)) {
-      mark(owner, kPartialRescore);
-    }
-    if (d < inv_partners_.size()) {
-      for (const FileId partner : inv_partners_[d]) {
-        mark(partner, kPartialRescore);
-      }
-    }
-  }
-
-  if (static_cast<double>(rescore_count) >
-      kIncrementalFallbackFraction * static_cast<double>(n)) {
-    rescore_.assign(n, kFullRescore);
-    return false;
-  }
-
-  // Only dirty candidates need their cached scoring inputs rebuilt; every
-  // other candidate's row/path/dir caches are unchanged by construction.
-  refresh_.clear();
-  for (const FileId d : unique_dirty) {
-    if (slot_of_[d] != kNoSlot) {
-      refresh_.push_back(d);
-    }
-  }
-  return true;
-}
-
-struct ClusterBuilder::ScoreScratch {
-  std::vector<FileId> near;
-  std::vector<FileId> far;
-  std::vector<FileId> old_near;
+// One build's inputs and scored edges, by candidate slot. Build makes a
+// fresh one on every call and drops it on return, so nothing computed in
+// one build reaches the next. Each per-slot list is a slice of one flat
+// array, so a build allocates per table, not per file.
+struct ClusterBuilder::BuildState {
+  std::vector<uint32_t> slot_of;  // FileId -> slot, kNoSlot for non-candidates
+  // Sorted live-neighbor rows at a fixed stride: a row never holds more
+  // than max_neighbors ids.
+  size_t row_stride = 0;
+  std::vector<FileId> rows;
+  std::vector<uint32_t> row_size;
+  // Interner path views (stable for the process lifetime) and their
+  // directory components, the basename dropped: slot s owns
+  // dirs[dir_begin[s], dir_begin[s + 1]).
+  std::vector<std::string_view> path;
+  std::vector<uint32_t> dir_begin;
+  std::vector<std::string_view> dirs;
+  // Scored edges (x >= kf) as candidate slots: slot s owns
+  // edges[edge_begin[s], edge_begin[s] + edge_count[s]), near edges
+  // (x >= kn) first. edge_begin leaves room for every edge a slot can
+  // have: one per row entry and one per investigated partner.
+  std::vector<uint32_t> edge_begin;
+  std::vector<uint32_t> edges;
+  std::vector<uint32_t> edge_count;
+  std::vector<uint32_t> near_count;
 };
 
-void ClusterBuilder::ScoreSlot(uint32_t slot, const std::vector<FileId>& candidates,
-                               uint8_t mode, ScoreScratch* s, size_t* edges_scored,
-                               uint8_t* removed_flag) const {
-  const FileId f = candidates[slot];
-  std::vector<FileId>& bucket = edge_cache_[f];
-  const std::vector<FileId>& frow = live_row_[f];
+struct ClusterBuilder::ScoreScratch {
+  std::vector<FileId> row;
+  std::vector<uint32_t> far;
+};
+
+void ClusterBuilder::RefreshInputs(uint32_t slot, FileId f, BuildState* s,
+                                   ScoreScratch* scratch) const {
+  // Append overload: one pass over the id stripe into a reused buffer.
+  scratch->row.clear();
+  relations_->LiveNeighborIds(f, &scratch->row);
+  std::sort(scratch->row.begin(), scratch->row.end());
+  std::copy(scratch->row.begin(), scratch->row.end(), s->rows.begin() + slot * s->row_stride);
+  s->row_size[slot] = static_cast<uint32_t>(scratch->row.size());
+
+  // One interner shared-lock hit per candidate, not per scored edge; the
+  // view is stable (the interner is append-only).
+  const std::string_view path = files_->PathOf(f);
+  const size_t comps = CountComponents(path);
+  s->path[slot] = path;
+  // Slice sizes for now; Build turns them into offsets.
+  s->dir_begin[slot + 1] = comps > 0 ? static_cast<uint32_t>(comps - 1) : 0;  // drop the basename
+  s->edge_begin[slot + 1] = s->row_size[slot] + static_cast<uint32_t>(
+      f < inv_partners_.size() ? inv_partners_[f].size() : 0);
+}
+
+void ClusterBuilder::ScoreSlot(uint32_t slot, FileId f, BuildState* s, ScoreScratch* scratch,
+                               size_t* edges_scored) const {
+  const FileId* frow = s->rows.data() + slot * s->row_stride;
+  const FileId* frow_end = frow + s->row_size[slot];
+  const std::string_view* fdirs = s->dirs.data() + s->dir_begin[slot];
+  const size_t fdir_count = s->dir_begin[slot + 1] - s->dir_begin[slot];
   const double near_threshold = static_cast<double>(params_.cluster_near);
   const double far_threshold = static_cast<double>(params_.cluster_far);
-  s->near.clear();
-  s->far.clear();
-  s->old_near.clear();
+  uint32_t* near = s->edges.data() + s->edge_begin[slot];
+  uint32_t near_count = 0;
+  scratch->far.clear();
 
-  // For the fast union path: remember which near edges (to still-live
-  // candidates) the cached bucket had, to detect disappearing ones below.
-  // A file re-entering the candidate set may carry a stale bucket from two
-  // builds ago; its label is unusable anyway, so don't let it flag.
-  const bool track_removal =
-      removed_flag != nullptr && f < was_candidate_.size() && was_candidate_[f];
-  if (track_removal) {
-    const uint32_t nc = std::min<uint32_t>(near_count_[f], bucket.size());
-    for (uint32_t i = 0; i < nc; ++i) {
-      const FileId g = bucket[i];
-      if (g < slot_of_.size() && slot_of_[g] != kNoSlot) {
-        s->old_near.push_back(g);
-      }
-    }
-  }
-
-  auto score_edge = [&](FileId g) {
-    const std::vector<FileId>& grow = live_row_[g];
+  auto score_edge = [&](uint32_t other, FileId g) {
+    const FileId* grow = s->rows.data() + other * s->row_stride;
+    const FileId* grow_end = grow + s->row_size[other];
     size_t shared = 0;
-    size_t a = 0;
-    size_t b = 0;
-    while (a < frow.size() && b < grow.size()) {
-      if (frow[a] == grow[b]) {
+    const FileId* a = frow;
+    const FileId* b = grow;
+    while (a < frow_end && b < grow_end) {
+      if (*a == *b) {
         ++shared;
         ++a;
         ++b;
-      } else if (frow[a] < grow[b]) {
+      } else if (*a < *b) {
         ++a;
       } else {
         ++b;
@@ -371,90 +279,45 @@ void ClusterBuilder::ScoreSlot(uint32_t slot, const std::vector<FileId>& candida
     }
     double x = static_cast<double>(shared);
     if (params_.dir_distance_weight > 0.0) {
-      x -= params_.dir_distance_weight * static_cast<double>(DirDistance(f, g));
+      x -= params_.dir_distance_weight *
+           static_cast<double>(DirDistance(fdirs, fdir_count, s->dirs.data() + s->dir_begin[other],
+                                           s->dir_begin[other + 1] - s->dir_begin[other]));
     }
     x += params_.investigator_weight * InvestigatedStrength(f, g);
     ++*edges_scored;
     if (x >= near_threshold) {
-      s->near.push_back(g);
+      near[near_count++] = other;
     } else if (x >= far_threshold) {
-      s->far.push_back(g);
+      scratch->far.push_back(other);
     }
   };
 
-  if (mode == kFullRescore) {
-    for (const FileId g : frow) {
-      if (g == f || g >= slot_of_.size() || slot_of_[g] == kNoSlot) {
-        continue;
-      }
-      score_edge(g);
+  const auto slot_of = [s](FileId g) {
+    return g < s->slot_of.size() ? s->slot_of[g] : kNoSlot;
+  };
+  for (const FileId* g = frow; g < frow_end; ++g) {
+    const uint32_t other = slot_of(*g);
+    if (*g != f && other != kNoSlot) {
+      score_edge(other, *g);
     }
-    if (f < inv_partners_.size()) {
-      for (const FileId partner : inv_partners_[f]) {
-        if (partner >= slot_of_.size() || slot_of_[partner] == kNoSlot) {
-          continue;
-        }
-        // Already scored through the neighbor row above.
-        if (std::binary_search(frow.begin(), frow.end(), partner)) {
-          continue;
-        }
-        score_edge(partner);
-      }
-    }
-  } else {
-    // Partial: f's own row is unchanged, so only edges touching dirty
-    // targets can have moved. Keep every clean cached edge and rescore
-    // exactly the dirty ones (dropped here, re-examined below — any edge
-    // to a dirty target must come back through f's row or partner list,
-    // both of which are stable for a clean f).
-    const uint32_t nc = std::min<uint32_t>(near_count_[f], bucket.size());
-    for (uint32_t i = 0; i < bucket.size(); ++i) {
-      const FileId g = bucket[i];
-      if (g < dirty_flag_.size() && dirty_flag_[g]) {
-        continue;
-      }
-      (i < nc ? s->near : s->far).push_back(g);
-    }
-    for (const FileId g : frow) {
-      if (g == f || g >= slot_of_.size() || slot_of_[g] == kNoSlot || !dirty_flag_[g]) {
-        continue;
-      }
-      score_edge(g);
-    }
-    if (f < inv_partners_.size()) {
-      for (const FileId partner : inv_partners_[f]) {
-        if (partner >= slot_of_.size() || slot_of_[partner] == kNoSlot ||
-            !dirty_flag_[partner]) {
-          continue;
-        }
-        if (std::binary_search(frow.begin(), frow.end(), partner)) {
-          continue;
-        }
-        score_edge(partner);
+  }
+  if (f < inv_partners_.size()) {
+    for (const FileId partner : inv_partners_[f]) {
+      const uint32_t other = slot_of(partner);
+      // A partner in the row was already scored through it above.
+      if (other != kNoSlot && !std::binary_search(frow, frow_end, partner)) {
+        score_edge(other, partner);
       }
     }
   }
 
-  if (track_removal) {
-    for (const FileId g : s->old_near) {
-      if (std::find(s->near.begin(), s->near.end(), g) == s->near.end()) {
-        *removed_flag = 1;
-        break;
-      }
-    }
-  }
-
-  bucket.clear();
-  bucket.reserve(s->near.size() + s->far.size());
-  bucket.insert(bucket.end(), s->near.begin(), s->near.end());
-  bucket.insert(bucket.end(), s->far.begin(), s->far.end());
-  near_count_[f] = static_cast<uint32_t>(s->near.size());
-  has_far_[f] = s->far.empty() ? 0 : 1;
+  std::copy(scratch->far.begin(), scratch->far.end(), near + near_count);
+  s->near_count[slot] = near_count;
+  s->edge_count[slot] = near_count + static_cast<uint32_t>(scratch->far.size());
 }
 
 ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
   const auto start = std::chrono::steady_clock::now();
-  const uint64_t epoch_now = relations_->set_change_epoch();
   const size_t n = candidates.size();
 
   stats_ = ClusterBuildStats{};
@@ -464,35 +327,6 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
     return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - from)
         .count();
   };
-
-  auto mark = std::chrono::steady_clock::now();
-  size_t max_file = files_->size();
-  for (const FileId f : candidates) {
-    max_file = std::max(max_file, static_cast<size_t>(f) + 1);
-  }
-  slot_of_.assign(max_file, kNoSlot);
-  for (size_t i = 0; i < n; ++i) {
-    slot_of_[candidates[i]] = static_cast<uint32_t>(i);
-  }
-  if (live_row_.size() < max_file) {
-    live_row_.resize(max_file);
-    file_path_.resize(max_file);
-    file_dirs_.resize(max_file);
-  }
-  if (edge_cache_.size() < max_file) {
-    edge_cache_.resize(max_file);
-    near_count_.resize(max_file, 0);
-    has_far_.resize(max_file, 0);
-  }
-  stats_.pack_ms = MsSince(mark);
-
-  mark = std::chrono::steady_clock::now();
-  const bool incremental = PlanIncremental(candidates);
-  stats_.plan_ms = MsSince(mark);
-  stats_.incremental = incremental;
-  if (!incremental) {
-    refresh_ = candidates;  // full pass: rebuild every candidate's inputs
-  }
 
   ThreadPool* pool = Pool();
   stats_.threads = pool->threads();
@@ -520,147 +354,107 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
     });
   };
 
-  // Input refresh: rebuild the cached live-neighbor rows / path views of
-  // refresh_ in parallel. Writes are disjoint per file and each result is a
-  // pure per-file function, so order (and thread count) cannot matter.
-  mark = std::chrono::steady_clock::now();
-  if (!refresh_.empty()) {
-    RunRanges(refresh_.size(), [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        RefreshFileInputs(refresh_[i]);
-      }
-    });
+  // 1. Slot the candidates.
+  auto mark = std::chrono::steady_clock::now();
+  BuildState state;
+  size_t max_file = files_->size();
+  for (const FileId f : candidates) {
+    max_file = std::max(max_file, static_cast<size_t>(f) + 1);
   }
-  stats_.pack_ms += MsSince(mark);
+  state.slot_of.assign(max_file, kNoSlot);
+  for (size_t i = 0; i < n; ++i) {
+    state.slot_of[candidates[i]] = static_cast<uint32_t>(i);
+  }
 
-  // Scoring phase: recompute the edge bucket of every slot marked for
-  // rescore, in parallel. Buckets are disjoint per slot, all other state is
-  // read-only, and the bucket content is a pure function of the cached
-  // inputs — so the merge below is order-independent and the output is
-  // identical at any thread count. The removal flag is an OR over slots,
-  // equally order-independent.
-  std::vector<uint32_t> work;
-  work.reserve(n);
-  for (uint32_t slot = 0; slot < n; ++slot) {
-    if (rescore_[slot] != kKeepBucket) {
-      work.push_back(slot);
+  // 2. Refresh their inputs, in parallel: writes are disjoint per slot and
+  // each result is a pure per-file function, so order (and thread count)
+  // cannot matter. The first pass sizes each slot's slices, the second
+  // splits the paths into the directory slices.
+  state.row_stride = static_cast<size_t>(relations_->max_neighbors());
+  state.rows.resize(n * state.row_stride);
+  state.row_size.resize(n);
+  state.path.resize(n);
+  state.dir_begin.assign(n + 1, 0);
+  state.edge_begin.assign(n + 1, 0);
+  RunRanges(n, [&](size_t lo, size_t hi) {
+    ScoreScratch scratch;
+    for (size_t i = lo; i < hi; ++i) {
+      RefreshInputs(static_cast<uint32_t>(i), candidates[i], &state, &scratch);
     }
+  });
+  for (size_t i = 0; i < n; ++i) {
+    state.dir_begin[i + 1] += state.dir_begin[i];
+    state.edge_begin[i + 1] += state.edge_begin[i];
   }
+  state.dirs.resize(state.dir_begin[n]);
+  RunRanges(n, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      SplitDirs(state.path[i], state.dir_begin[i + 1] - state.dir_begin[i],
+                state.dirs.data() + state.dir_begin[i]);
+    }
+  });
+  stats_.pack_ms = MsSince(mark);
+
+  // 3. Score every edge, in parallel. Buckets are disjoint per slot, all
+  // other state is read-only, and the bucket content is a pure function of
+  // the inputs — so the merge below is order-independent and the output is
+  // identical at any thread count.
   mark = std::chrono::steady_clock::now();
+  state.edges.resize(state.edge_begin[n]);
+  state.edge_count.resize(n);
+  state.near_count.resize(n);
   std::atomic<size_t> edges_scored{0};
-  std::vector<uint8_t> edge_removed(n, 0);  // per slot, disjoint writes
-  const bool fast_union = incremental && fast_union_ok_ && comp_valid_;
-  if (!work.empty()) {
-    RunRanges(work.size(), [&](size_t lo, size_t hi) {
-      ScoreScratch scratch;
-      size_t local = 0;
-      for (size_t w = lo; w < hi; ++w) {
-        ScoreSlot(work[w], candidates, rescore_[work[w]], &scratch, &local,
-                  fast_union ? &edge_removed[work[w]] : nullptr);
-      }
-      edges_scored.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-  stats_.files_rescored = work.size();
+  RunRanges(n, [&](size_t lo, size_t hi) {
+    ScoreScratch scratch;
+    size_t local = 0;
+    for (size_t i = lo; i < hi; ++i) {
+      ScoreSlot(static_cast<uint32_t>(i), candidates[i], &state, &scratch, &local);
+    }
+    edges_scored.fetch_add(local, std::memory_order_relaxed);
+  });
   stats_.edges_scored = edges_scored.load(std::memory_order_relaxed);
   stats_.score_ms = MsSince(mark);
   mark = std::chrono::steady_clock::now();
 
-  // Phase one (sequential): combine clusters across near edges. Cached
-  // buckets may name files that are no longer candidates; the slot lookup
-  // filters them. On the fast path, a component whose near edges all
-  // survived is replayed from its cached label (one trivial union per
-  // member); a component that lost a near edge may have split, so every
-  // member's bucket is rescanned — near edges never cross phase-one
-  // component boundaries, so per-component re-derivation is complete.
-  // Rescored buckets are always scanned to pick up brand-new edges.
-  // Either way the final relation equals components(current edge set), so
-  // the output matches a full scan exactly.
+  // 4. Union the near edges (sequential): combine clusters across them.
   Dsu dsu(n);
-  std::vector<uint8_t> comp_dirty;  // by representative FileId
-  if (fast_union) {
-    comp_dirty.assign(comp_rep_.size(), 0);
-    for (uint32_t slot = 0; slot < n; ++slot) {
-      if (!edge_removed[slot]) {
-        continue;
-      }
-      const FileId f = candidates[slot];
-      if (f < comp_rep_.size() && comp_rep_[f] != kInvalidFileId) {
-        comp_dirty[comp_rep_[f]] = 1;
-      }
-    }
-  }
   for (uint32_t slot = 0; slot < n; ++slot) {
-    const FileId f = candidates[slot];
-    if (fast_union) {
-      bool scan = rescore_[slot] != kKeepBucket;
-      if (f < was_candidate_.size() && was_candidate_[f]) {
-        const FileId rep = comp_rep_[f];
-        if (rep != kInvalidFileId && comp_dirty[rep]) {
-          scan = true;
-        } else if (rep != f && rep < slot_of_.size() && slot_of_[rep] != kNoSlot) {
-          dsu.Union(slot, slot_of_[rep]);
-        }
-      }
-      if (!scan) {
-        continue;
-      }
-    }
-    const std::vector<FileId>& bucket = edge_cache_[f];
-    const uint32_t nc = std::min<uint32_t>(near_count_[f], bucket.size());
-    for (uint32_t i = 0; i < nc; ++i) {
-      const FileId g = bucket[i];
-      const uint32_t other = g < slot_of_.size() ? slot_of_[g] : kNoSlot;
-      if (other != kNoSlot) {
-        dsu.Union(slot, other);
-      }
+    const uint32_t* bucket = state.edges.data() + state.edge_begin[slot];
+    for (uint32_t i = 0; i < state.near_count[slot]; ++i) {
+      dsu.Union(slot, bucket[i]);
     }
   }
 
   // Materialise phase-one clusters, numbered by first-touched member so the
-  // output order is independent of DSU root identity. The first member also
-  // becomes the component's cached label for the next fast union.
+  // output order is independent of DSU root identity.
   std::vector<uint32_t> root_to_cluster(n, kNoSlot);
   std::vector<uint32_t> cluster_of(n);
-  std::vector<FileId> first_member;
   std::vector<std::vector<FileId>> members;
-  if (comp_rep_.size() < max_file) {
-    comp_rep_.resize(max_file, kInvalidFileId);
-  }
   for (uint32_t slot = 0; slot < n; ++slot) {
     const uint32_t root = dsu.Find(slot);
     if (root_to_cluster[root] == kNoSlot) {
       root_to_cluster[root] = static_cast<uint32_t>(members.size());
       members.emplace_back();
-      first_member.push_back(candidates[slot]);
     }
     const uint32_t cluster = root_to_cluster[root];
     members[cluster].push_back(candidates[slot]);
     cluster_of[slot] = cluster;
-    comp_rep_[candidates[slot]] = first_member[cluster];
   }
-  comp_valid_ = true;
 
-  // Phase two: overlap clusters across far edges — each file joins the
-  // other's phase-one cluster, with no merge. Clusters untouched here keep
-  // their phase-one member lists, which are already sorted and unique
-  // (slots are walked in order and candidates ascend), so only touched
-  // clusters need the sort/dedup below.
+  // 5. Overlap the far edges: each file joins the other's phase-one
+  // cluster, with no merge. Clusters untouched here keep their phase-one
+  // member lists, which are already sorted and unique (slots are walked in
+  // order and candidates ascend), so only touched clusters need the
+  // sort/dedup below.
   std::vector<uint8_t> cluster_touched(members.size(), 0);
   for (uint32_t slot = 0; slot < n; ++slot) {
-    const FileId f = candidates[slot];
-    if (!has_far_[f]) {
-      continue;  // flag maintained with the bucket: skip the header load
-    }
-    const std::vector<FileId>& bucket = edge_cache_[f];
-    const uint32_t nc = std::min<uint32_t>(near_count_[f], bucket.size());
-    for (uint32_t i = nc; i < bucket.size(); ++i) {
-      const FileId g = bucket[i];
-      const uint32_t other = g < slot_of_.size() ? slot_of_[g] : kNoSlot;
-      if (other == kNoSlot || cluster_of[slot] == cluster_of[other]) {
+    const uint32_t* bucket = state.edges.data() + state.edge_begin[slot];
+    for (uint32_t i = state.near_count[slot]; i < state.edge_count[slot]; ++i) {
+      const uint32_t other = bucket[i];
+      if (cluster_of[slot] == cluster_of[other]) {
         continue;
       }
-      members[cluster_of[other]].push_back(f);
+      members[cluster_of[other]].push_back(candidates[slot]);
       members[cluster_of[slot]].push_back(candidates[other]);
       cluster_touched[cluster_of[other]] = 1;
       cluster_touched[cluster_of[slot]] = 1;
@@ -685,9 +479,10 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
     });
   }
 
-  // Identical clusters can only arise from far overlap (phase-one clusters
-  // are disjoint), so only touched clusters need the duplicate check:
-  // overlapping two singletons yields two identical clusters; keep one.
+  // 6. Emit. Identical clusters can only arise from far overlap (phase-one
+  // clusters are disjoint), so only touched clusters need the duplicate
+  // check: overlapping two singletons yields two identical clusters; keep
+  // one.
   ClusterSet out;
   out.clusters.reserve(members.size());
   std::set<std::vector<FileId>> emitted;
@@ -716,7 +511,7 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
 
   // Membership as CSR: count, prefix-sum, fill. Clusters are walked in
   // ascending index order, so each file's index list comes out ascending.
-  const size_t nf = slot_of_.size();
+  const size_t nf = state.slot_of.size();
   out.membership_offset.assign(nf + 1, 0);
   for (const Cluster& c : out.clusters) {
     for (const FileId id : c.members) {
@@ -735,20 +530,7 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
   }
 
   stats_.merge_ms = MsSince(mark);
-
-  cache_valid_ = true;
-  built_epoch_ = epoch_now;
-  cached_candidates_ = candidates;
-  was_candidate_.assign(slot_of_.size(), 0);
-  for (const FileId f : candidates) {
-    was_candidate_[f] = 1;
-  }
-  inv_dirty_.clear();
-  inv_cleared_ = false;
-
-  stats_.build_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+  stats_.build_ms = MsSince(start);
   return out;
 }
 

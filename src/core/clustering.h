@@ -19,22 +19,18 @@
 //     ever stored, so a sufficiently strong investigator can force files
 //     into one project.
 //
-// Engine shape (see DESIGN.md §10): edge *scoring* — the expensive phase —
-// is a pure function of fixed neighbor sets, so it runs in parallel over
-// candidate files on a chunked thread pool, writing each file's scored
-// edges into a per-file bucket. The *union* phase then walks the buckets
-// in candidate order on one thread, so the output is bit-identical at any
-// thread count. Buckets are cached between builds: the relation table
-// stamps files whose live neighbor sets changed (dirty epoch), and an
-// incremental rebuild rescores only stamped files and their
-// reverse-neighbors, falling back to a full pass when the dirty fraction
-// is large.
+// Engine shape (see DESIGN.md §10): every Build is one pass computed from
+// the learned state, keeping nothing from the build before. Edge *scoring*
+// — the expensive phase — is a pure function of fixed neighbor sets, so it
+// runs in parallel over candidate files on a chunked thread pool, writing
+// each file's scored edges into a per-file bucket. The *union* phase then
+// walks the buckets in candidate order on one thread, so the output is
+// bit-identical at any thread count.
 #ifndef SRC_CORE_CLUSTERING_H_
 #define SRC_CORE_CLUSTERING_H_
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "src/core/file_table.h"
@@ -86,18 +82,17 @@ struct ClusterSet {
 };
 
 // What the last Build() actually did, for the perf surfaces
-// (`seerctl cluster --stats`, bench/clustering_scale, the hoard daemon).
+// (`seerctl cluster --stats`, bench/clustering_scale, the benchmark's layer
+// replay).
 struct ClusterBuildStats {
   size_t candidates = 0;
-  size_t dirty_files = 0;     // set-changed files detected since last build
-  size_t files_rescored = 0;  // edge buckets recomputed this build
-  size_t edges_scored = 0;    // adjusted-count evaluations performed
-  bool incremental = false;   // cached buckets were reused
+  size_t edges_scored = 0;   // adjusted-count evaluations performed
+  bool incremental = false;  // always false: every build is a full pass
   int threads = 1;
   double build_ms = 0.0;
   // Phase split of build_ms, for the perf harness.
-  double pack_ms = 0.0;   // candidate packing (rows, paths, dir components)
-  double plan_ms = 0.0;   // dirty-set collection and rescore planning
+  double pack_ms = 0.0;   // candidate slotting and input refresh
+  double plan_ms = 0.0;   // always 0: a build has nothing to plan
   double score_ms = 0.0;  // parallel edge scoring
   double merge_ms = 0.0;  // union + materialise + emit
 };
@@ -115,9 +110,9 @@ class ClusterBuilder {
 
   // Runs both phases over the given candidate files (normally
   // FileTable::LiveIds()). Files related to nothing become singleton
-  // clusters. Logically const: the mutable edge cache it maintains is
-  // invisible in the result (callers must serialise Build with table
-  // mutation, which the correlator/async-pipeline query path already does).
+  // clusters. Every call computes from the current tables alone (callers
+  // must serialise Build with table mutation, which the correlator/async-
+  // pipeline query path already does).
   ClusterSet Build(const std::vector<FileId>& candidates) const;
 
   // Adjusted shared-neighbor count for an ordered pair (x in Table 1).
@@ -134,46 +129,26 @@ class ClusterBuilder {
   // the private pool.
   void set_shared_pool(ThreadPool* pool);
 
-  // Incremental rebuilds are on by default; turning them off forces every
-  // Build to rescore all edges (the benches' serial/full baseline).
-  void set_incremental(bool on) { incremental_enabled_ = on; }
-  void InvalidateCache() const { cache_valid_ = false; }
-
   // Live-tuning override: new near/far thresholds and weights take effect
-  // on the next Build. The incremental cache is invalidated — scores
-  // computed under the old params must not survive.
-  void OverrideParams(const SeerParams& params) {
-    params_ = params;
-    InvalidateCache();
-  }
+  // on the next Build.
+  void OverrideParams(const SeerParams& params) { params_ = params; }
 
   const ClusterBuildStats& last_build_stats() const { return stats_; }
 
-  // Rescore-set fraction above which an incremental rebuild falls back to
-  // a full pass (rescoring nearly everything costs more than a clean run).
-  static constexpr double kIncrementalFallbackFraction = 0.25;
-
  private:
+  struct BuildState;    // one build's inputs and scored edges (defined in the .cc)
   struct ScoreScratch;  // per-chunk scoring buffers (defined in the .cc)
 
   uint64_t PairKey(FileId a, FileId b) const;
   double InvestigatedStrength(FileId a, FileId b) const;
   ThreadPool* Pool() const;
-  // Rebuilds one file's cached scoring inputs: sorted live-neighbor row,
-  // interner path view, dirname components.
-  void RefreshFileInputs(FileId f) const;
-  // Decides which candidate slots need rescoring (rescore_: keep, partial
-  // or full) and which files' inputs must be refreshed (refresh_); returns
-  // false when the cache cannot be used (full rebuild required).
-  bool PlanIncremental(const std::vector<FileId>& candidates) const;
-  // Rebuilds one candidate's edge bucket. Partial mode keeps cached edges
-  // to clean targets and rescores only edges to dirty files. When
-  // `removed_flag` is non-null, sets the pointed-to byte if a
-  // previously-near edge did not survive — the signal that this slot's
-  // cached component label cannot be reused.
-  void ScoreSlot(uint32_t slot, const std::vector<FileId>& candidates, uint8_t mode,
-                 ScoreScratch* scratch, size_t* edges_scored, uint8_t* removed_flag) const;
-  int DirDistance(FileId a, FileId b) const;
+  // Fills one candidate's scoring inputs — its sorted live-neighbor row and
+  // its interner path view — and the sizes of its directory and edge
+  // slices.
+  void RefreshInputs(uint32_t slot, FileId f, BuildState* state, ScoreScratch* scratch) const;
+  // Scores every edge of one candidate into its bucket, near edges first.
+  void ScoreSlot(uint32_t slot, FileId f, BuildState* state, ScoreScratch* scratch,
+                 size_t* edges_scored) const;
 
   SeerParams params_;
   const FileTable* files_;
@@ -182,44 +157,12 @@ class ClusterBuilder {
   FlatMap<uint64_t, double> investigated_;
   // Per-file investigated partners (both directions), in insertion order.
   std::vector<std::vector<FileId>> inv_partners_;
-  // Endpoints touched since last build; consumed (and reset) by Build.
-  mutable std::vector<FileId> inv_dirty_;
-  mutable bool inv_cleared_ = false;
-  bool incremental_enabled_ = true;
   int threads_ = 0;
   ThreadPool* shared_pool_ = nullptr;  // not owned; overrides pool_
 
-  // --- build-time cache & scratch (logically transparent) ------------------
   mutable std::unique_ptr<ThreadPool> pool_;
   mutable int pool_threads_ = 0;
   mutable ClusterBuildStats stats_;
-  // Per-file scored edges (x >= kf) from the last build, partitioned: the
-  // first near_count_[f] entries are near edges (x >= kn), the rest far.
-  mutable std::vector<std::vector<FileId>> edge_cache_;
-  mutable std::vector<uint32_t> near_count_;
-  mutable std::vector<uint8_t> has_far_;  // bucket holds any far edge
-  // Phase-one component representative per file from the last build. When
-  // no near edge or candidate was removed since, the union phase replays
-  // these labels (O(candidates) trivial unions) plus the rescored buckets'
-  // near edges instead of walking every cached bucket.
-  mutable std::vector<FileId> comp_rep_;
-  mutable bool comp_valid_ = false;
-  mutable bool fast_union_ok_ = false;
-  mutable bool cache_valid_ = false;
-  mutable uint64_t built_epoch_ = 0;
-  mutable std::vector<FileId> cached_candidates_;
-  mutable std::vector<uint8_t> was_candidate_;  // by FileId, previous build
-  // Persistent per-file scoring inputs, refreshed only for dirty files
-  // (interner views are stable for the process lifetime, so the cached
-  // path and component views never dangle):
-  mutable std::vector<std::vector<FileId>> live_row_;  // sorted live neighbors
-  mutable std::vector<std::string_view> file_path_;
-  mutable std::vector<std::vector<std::string_view>> file_dirs_;
-  // Scratch reused across builds:
-  mutable std::vector<uint32_t> slot_of_;   // FileId -> slot, sentinel
-  mutable std::vector<uint8_t> rescore_;    // per slot: keep/partial/full
-  mutable std::vector<uint8_t> dirty_flag_; // by FileId, this build's D
-  mutable std::vector<FileId> refresh_;     // files whose inputs to rebuild
 };
 
 }  // namespace seer

@@ -169,10 +169,6 @@ void Correlator::OnFileDeleted(PathId path, Time /*time*/) {
   for (const FileId expired : files_.MarkDeleted(id, params_.delete_delay)) {
     relations_.Purge(expired);
   }
-  // The mark flips liveness without touching any relation list: every list
-  // naming this file just lost a live member, so stamp them for the
-  // incremental recluster.
-  relations_.MarkSetChanged(id);
 }
 
 void Correlator::OnFileRenamed(PathId from, PathId to, Time /*time*/) {
@@ -182,14 +178,7 @@ void Correlator::OnFileRenamed(PathId from, PathId to, Time /*time*/) {
     files_.Intern(to);
     return;
   }
-  const FileId replaced = files_.Find(to);
   files_.RenameFile(id, to);
-  // The pathname feeds directory distance; a replaced target record flips
-  // liveness. Both dirty the file and every list naming it.
-  relations_.MarkSetChanged(id);
-  if (replaced != kInvalidFileId && replaced != id) {
-    relations_.MarkSetChanged(replaced);
-  }
 }
 
 void Correlator::OnFileExcluded(PathId path) {
@@ -198,7 +187,6 @@ void Correlator::OnFileExcluded(PathId path) {
     return;
   }
   files_.MarkExcluded(id);
-  relations_.MarkSetChanged(id);
   relations_.Purge(id);
 }
 
@@ -223,14 +211,34 @@ void Correlator::RunInvestigators(const SimFilesystem& fs) {
   if (investigators_.empty()) {
     return;
   }
-  std::vector<std::string> candidates;
-  for (const FileId id : files_.LiveIds()) {
-    candidates.emplace_back(files_.PathOf(id));
-  }
   clusters_.ClearInvestigatedPairs();
-  for (const auto& inv : investigators_) {
-    for (const auto& relation : inv->Investigate(fs, candidates)) {
-      AddInvestigatedRelation(relation);
+  // A relation may intern a file no earlier round investigated (a header
+  // the user never opened), so repeat over the files each round made live
+  // until a round adds none. Each shipped investigator judges a file on its
+  // own, so the rounds find the relations one pass over the final live set
+  // would, and a second call with no event in between changes nothing.
+  std::vector<uint8_t> investigated;
+  std::vector<FileId> round = files_.LiveIds();
+  while (!round.empty()) {
+    std::vector<std::string> candidates;
+    candidates.reserve(round.size());
+    for (const FileId id : round) {
+      if (investigated.size() <= id) {
+        investigated.resize(id + 1, 0);
+      }
+      investigated[id] = 1;
+      candidates.emplace_back(files_.PathOf(id));
+    }
+    for (const auto& inv : investigators_) {
+      for (const auto& relation : inv->Investigate(fs, candidates)) {
+        AddInvestigatedRelation(relation);
+      }
+    }
+    round.clear();
+    for (const FileId id : files_.LiveIds()) {
+      if (id >= investigated.size() || !investigated[id]) {
+        round.push_back(id);
+      }
     }
   }
 }

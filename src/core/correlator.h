@@ -116,7 +116,8 @@ class Correlator : public ReferenceSink {
   // --- Investigators ------------------------------------------------------
 
   // Registers an investigator; it runs against all known live files each
-  // time RunInvestigators() is called (typically just before clustering).
+  // time RunInvestigators() is called (typically just before clustering),
+  // including the files the call's own relations intern.
   void AddInvestigator(std::unique_ptr<Investigator> investigator);
   void RunInvestigators(const SimFilesystem& fs);
 
@@ -132,10 +133,6 @@ class Correlator : public ReferenceSink {
   // (SEER_THREADS / hardware concurrency).
   void SetClusterThreads(int threads) { clusters_.set_threads(threads); }
   int cluster_threads() const { return clusters_.threads(); }
-
-  // Incremental cluster rebuilds are on by default; benches turn them off
-  // to measure the full-build baseline.
-  void SetIncrementalClustering(bool on) { clusters_.set_incremental(on); }
 
   // What the most recent BuildClusters actually did.
   const ClusterBuildStats& last_cluster_stats() const {

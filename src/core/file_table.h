@@ -60,7 +60,7 @@ class FileTable {
   // exclusion and rename (both ends). Consumers (the incremental hoard-fill
   // plane) snapshot touch_epoch() after a pass and later ask which files
   // moved since that snapshot — the same cheap-epoch idiom the relation
-  // table uses for incremental reclustering.
+  // table uses for its stripe stamps.
   uint64_t touch_epoch() const { return touch_epoch_; }
 
   // Appends every id whose last touch is newer than `epoch`. A flat O(size)

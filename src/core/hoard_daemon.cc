@@ -35,9 +35,6 @@ HoardSelection HoardDaemon::ForceRefill(Time now) {
   if (config_.investigate_fs != nullptr) {
     correlator_->RunInvestigators(*config_.investigate_fs);
   }
-  if (config_.cluster_threads > 0) {
-    correlator_->SetClusterThreads(config_.cluster_threads);
-  }
   const ClusterSet clusters = correlator_->BuildClusters();
   // Server-side tenants have no local Observer; the always-hoard set is
   // then empty (that list is per-device user configuration).

@@ -53,7 +53,6 @@ void RelationTable::EnsureSize(FileId id) {
     const size_t files = static_cast<size_t>(id) + 1;
     nb_count_.resize(files, 0);
     reverse_.resize(files);
-    set_stamp_.resize(files, 0);
     stripe_stamp_.resize((files + kStripeSize - 1) >> kStripeShift, 0);
     const size_t slots = files * static_cast<size_t>(cap_);
     nb_id_.resize(slots, kInvalidFileId);
@@ -64,11 +63,6 @@ void RelationTable::EnsureSize(FileId id) {
     nb_mean_.resize(slots, 0.0);
     nb_mean_upd_.resize(slots, kMeanStampInvalid);
   }
-}
-
-void RelationTable::Stamp(FileId id) {
-  EnsureSize(id);
-  set_stamp_[id] = ++set_change_epoch_;
 }
 
 void RelationTable::StampData(FileId id) {
@@ -152,7 +146,6 @@ void RelationTable::NoteStructure(FileId from, FileId removed, FileId added) {
   if (removed != kInvalidFileId) {
     RevRemove(from, removed);
   }
-  Stamp(from);
   RevAdd(from, added);
   StampData(from);
 }
@@ -344,11 +337,9 @@ void RelationTable::Purge(FileId id) {
       RevRemove(id, nb_id_[base + i]);
     }
     nb_count_[id] = 0;
-    Stamp(id);
     StampData(id);
   }
-  // Every list naming us, found via the reverse index. Iterated by index:
-  // Stamp never mutates reverse_[id] (the owners already exist).
+  // Every list naming us, found via the reverse index.
   std::vector<FileId>& rev = reverse_[id];
   for (size_t r = 0; r < rev.size(); ++r) {
     const FileId owner = rev[r];
@@ -372,36 +363,8 @@ void RelationTable::Purge(FileId id) {
         break;
       }
     }
-    Stamp(owner);
   }
   rev.clear();
-}
-
-void RelationTable::CollectChangedSince(uint64_t epoch, std::vector<FileId>* out) const {
-  for (FileId id = 0; id < set_stamp_.size(); ++id) {
-    if (set_stamp_[id] > epoch) {
-      out->push_back(id);
-    }
-  }
-}
-
-const std::vector<FileId>& RelationTable::ReverseNeighborsOf(FileId id) const {
-  return id < reverse_.size() ? reverse_[id] : empty_ids_;
-}
-
-void RelationTable::MarkSetChanged(FileId id) {
-  Stamp(id);
-  if (id < reverse_.size()) {
-    // By index, not a copy: Stamp may resize the outer tables when `id`
-    // itself was new, but every owner in reverse_[id] already has a list,
-    // so the stamps below never resize — and even if they did, the fresh
-    // reverse_[id] lookup per step stays valid. Rename storms hit this
-    // path once per renamed file, so the old per-call vector copy was the
-    // dominant cost of a bulk rename.
-    for (size_t i = 0; i < reverse_[id].size(); ++i) {
-      Stamp(reverse_[id][i]);
-    }
-  }
 }
 
 void RelationTable::CopyStripes(bool full, uint64_t since_epoch, size_t file_count,
@@ -488,7 +451,6 @@ void RelationTable::FinishRestore(size_t file_count) {
     for (uint32_t i = 0; i < count; ++i) {
       RevAdd(static_cast<FileId>(f), nb_id_[base + i]);
     }
-    Stamp(static_cast<FileId>(f));
     StampData(static_cast<FileId>(f));
   }
 }
@@ -500,7 +462,6 @@ size_t RelationTable::MemoryBytes() const {
                  nb_mean_upd_.capacity() * sizeof(uint64_t) +
                  nb_count_.capacity() * sizeof(uint32_t) +
                  reverse_.capacity() * sizeof(std::vector<FileId>) +
-                 set_stamp_.capacity() * sizeof(uint64_t) +
                  stripe_stamp_.capacity() * sizeof(uint64_t);
   for (const auto& rev : reverse_) {
     bytes += rev.capacity() * sizeof(FileId);

@@ -141,42 +141,16 @@ class RelationTable {
   uint64_t update_count() const { return update_count_; }
   int max_neighbors() const { return cap_; }
 
-  // --- clustering support: set-change epochs + reverse index ---------------
-  //
-  // The incremental cluster rebuild needs to know which files' *live
-  // neighbor sets* may differ from the last build. The table stamps a
-  // monotonically increasing epoch on every structural list change (entry
-  // added, replaced, or removed — folding a new observation into an
-  // existing entry does not change the set and is not stamped), and the
-  // correlator calls MarkSetChanged when a file's liveness or pathname
-  // flips out-of-band (rename), which dirties the file and every list that
-  // names it.
-
-  // Current global set-change epoch (stamped value of the latest change).
-  uint64_t set_change_epoch() const { return set_change_epoch_; }
-
-  // Appends every file whose set-change stamp is newer than `epoch`.
-  void CollectChangedSince(uint64_t epoch, std::vector<FileId>* out) const;
-
-  // Files whose neighbor lists currently contain `id` (unordered).
-  const std::vector<FileId>& ReverseNeighborsOf(FileId id) const;
-
-  // Records that `id`'s liveness or pathname changed: stamps `id` and every
-  // reverse neighbor (their live sets changed too).
-  void MarkSetChanged(FileId id);
-
   // Approximate bytes used, for the Section 5.3 memory accounting bench.
   size_t MemoryBytes() const;
 
   // --- checkpoint-plane support: stripe dirty epochs + seal copies ----------
   //
   // Delta checkpoints need to know which parts of the *slab data* changed
-  // since the last generation. The set-change epochs above deliberately do
-  // not stamp folds (an accumulated observation changes no live set), so
-  // the table keeps a second, coarser clock: the slab is divided into
-  // stripes of kStripeSize files, and every slab mutation — fold, insert,
-  // replace, swap-remove, restore — stamps the owning file's stripe with a
-  // fresh data epoch. A stripe whose stamp is older than the last sealed
+  // since the last generation. The slab is divided into stripes of
+  // kStripeSize files, and every slab mutation — fold, insert, replace,
+  // swap-remove, restore — stamps the owning file's stripe with a fresh
+  // data epoch. A stripe whose stamp is older than the last sealed
   // cut is bit-identical to the previous snapshot and can be omitted.
 
   static constexpr uint32_t kStripeShift = 8;
@@ -199,7 +173,7 @@ class RelationTable {
   // the slab for `file_count` files and hands back raw array pointers;
   // workers then fill disjoint stripe ranges (ids/logs/lins/obs/upds plus
   // the per-file counts) concurrently. FinishRestore rebuilds the reverse
-  // index and set stamps sequentially. Only valid on a freshly constructed
+  // index and stripe stamps sequentially. Only valid on a freshly constructed
   // table.
   struct SlabAccess {
     FileId* ids = nullptr;
@@ -231,7 +205,6 @@ class RelationTable {
   friend class NeighborRange;
 
   void EnsureSize(FileId id);
-  void Stamp(FileId id);
   void StampData(FileId id);
   void RevAdd(FileId owner, FileId neighbor);
   void RevRemove(FileId owner, FileId neighbor);
@@ -282,16 +255,12 @@ class RelationTable {
   // reverse_[id] = files whose lists contain id. Maintained by every list
   // mutation; an id appears at most once per owner (lists are id-unique).
   std::vector<std::vector<FileId>> reverse_;
-  // Per-file stamp of the last set change, against set_change_epoch_.
-  std::vector<uint64_t> set_stamp_;
-  uint64_t set_change_epoch_ = 0;
   // Per-stripe stamp of the last slab data mutation, against data_epoch_.
   std::vector<uint64_t> stripe_stamp_;
   uint64_t data_epoch_ = 0;
   uint64_t update_count_ = 0;
   mutable Rng rng_;        // serialized tie-break state; never advances
   uint64_t tie_key_ = 0;   // derived from rng_ state (RefreshTieKey)
-  std::vector<FileId> empty_ids_;
 };
 
 }  // namespace seer

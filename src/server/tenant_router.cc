@@ -9,6 +9,20 @@
 
 namespace seer {
 
+namespace {
+
+// Each tenant's first checkpoint is offset by a per-tenant phase (tenant id
+// modulo kStaggerSlots slices of checkpoint_interval), so a fleet created
+// together does not checkpoint in phase.
+constexpr size_t kStaggerSlots = 16;
+
+// Refills run synchronously on Tick; cap how many per call so one Tick
+// holds the control thread only briefly. The rest wait for the next Tick,
+// which a router with a `wake` asks for at once.
+constexpr size_t kMaxRefillsPerTick = 4;
+
+}  // namespace
+
 TenantRouter::TenantRouter(Fs* fs, std::string root, TenantRouterConfig config,
                            std::function<void()> wake)
     : fs_(fs),
@@ -35,8 +49,8 @@ const TenantRouter::Tenant* TenantRouter::FindTenant(TenantId tenant) const {
 }
 
 Time TenantRouter::StaggerPhase(TenantId tenant) const {
-  const size_t slots = std::max<size_t>(1, config_.stagger_slots);
-  return static_cast<Time>(tenant % slots) * (config_.checkpoint_interval / static_cast<Time>(slots));
+  return static_cast<Time>(tenant % kStaggerSlots) *
+         (config_.checkpoint_interval / static_cast<Time>(kStaggerSlots));
 }
 
 ReferenceSink* TenantRouter::SinkFor(TenantId tenant) {
@@ -255,27 +269,6 @@ void TenantRouter::RecordSealStall(uint64_t micros) {
   seal_stall_next_ = (seal_stall_next_ + 1) % kSealStallWindow;
 }
 
-void TenantRouter::HarvestCheckpoint(Tenant* t) {
-  const Status finished = t->durable->FinishCheckpoint();
-  t->checkpoint_inflight = false;
-  if (inflight_ > 0) {
-    --inflight_;
-  }
-  if (!finished.ok()) {
-    if (last_error_.ok()) {
-      last_error_ = finished;
-    }
-    return;
-  }
-  ++checkpoints_harvested_;
-  ++t->checkpoints;
-  RecordSealStall(t->durable->last_checkpoint_stats().seal_micros);
-  const Status persisted = PersistTenantMeta(t);
-  if (last_error_.ok() && !persisted.ok()) {
-    last_error_ = persisted;
-  }
-}
-
 Status TenantRouter::SettleCheckpoint(Tenant* t) {
   if (!t->checkpoint_inflight) {
     return Status::Ok();
@@ -377,31 +370,21 @@ std::mutex* TenantRouter::TenantMutex(TenantId tenant) {
   return t == nullptr ? nullptr : &t->mu;
 }
 
-bool TenantRouter::FlagIfWalDue(Tenant* t) {
-  // Every writer of wal_due holds the tenant's lock (or runs alone), so a
-  // load and a store suffice.
-  if (t->wal_due.load(std::memory_order_relaxed) ||
-      t->durable->wal_bytes() < config_.wal_checkpoint_bytes) {
-    return false;
-  }
-  t->wal_due.store(true, std::memory_order_relaxed);
-  return true;
-}
-
 void TenantRouter::AfterDelivery(TenantId tenant) {
   Tenant* t = FindTenant(tenant);
-  if (t != nullptr && t->durable != nullptr && FlagIfWalDue(t) && wake_) {
+  // Every writer of wal_due holds the tenant's lock (or runs alone), so a
+  // load and a store suffice.
+  if (t == nullptr || t->durable == nullptr || t->wal_due.load(std::memory_order_relaxed) ||
+      t->durable->wal_bytes() < config_.wal_checkpoint_bytes) {
+    return;
+  }
+  t->wal_due.store(true, std::memory_order_relaxed);
+  if (wake_) {
     wake_();
   }
 }
 
 Status TenantRouter::Tick(Time now) {
-  for (auto& [id, t] : tenants_) {
-    (void)id;
-    if (t.durable != nullptr) {
-      FlagIfWalDue(&t);
-    }
-  }
   Status first_error = TickTenants(now);
   const Status evicted = EvictOverBudget();
   if (first_error.ok()) {
@@ -424,7 +407,10 @@ Status TenantRouter::TickTenants(Time now) {
     (void)id;
     if (t.checkpoint_inflight && t.durable->CheckpointDone()) {
       const std::lock_guard<std::mutex> lock(t.mu);
-      HarvestCheckpoint(&t);
+      const Status settled = SettleCheckpoint(&t);
+      if (last_error_.ok() && !settled.ok()) {
+        last_error_ = settled;
+      }
     }
   }
 
@@ -473,7 +459,7 @@ Status TenantRouter::TickTenants(Time now) {
       if (t.last_refill >= 0 && now - t.last_refill < config_.hoard_interval) {
         continue;
       }
-      if (refilled >= config_.max_refills_per_tick) {
+      if (refilled >= kMaxRefillsPerTick) {
         if (wake_) {
           wake_();
         }

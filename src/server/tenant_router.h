@@ -112,25 +112,23 @@ struct TenantRouterConfig {
 
   // --- checkpoint scheduler ----------------------------------------------
   // Per-tenant checkpoint period. Each tenant's first due time is offset
-  // by a per-tenant phase (tenant id modulo stagger_slots slices of the
-  // interval), so a fleet created together does not checkpoint in phase.
+  // by a per-tenant phase (tenant id modulo 16 slices of the interval), so
+  // a fleet created together does not checkpoint in phase.
   Time checkpoint_interval = 1 * kMicrosPerHour;
-  size_t stagger_slots = 16;
   // Background checkpoints allowed in flight at once, across all tenants.
   size_t max_checkpoints_inflight = 2;
-  // A tenant whose WAL outgrows this is due regardless of its timer
-  // (bounds recovery replay, as in HoardDaemonConfig).
+  // A tenant whose WAL outgrows this is due regardless of its timer, once
+  // AfterDelivery sees it (bounds recovery replay, as in HoardDaemonConfig).
   uint64_t wal_checkpoint_bytes = 4u << 20;
 
   // --- hoard refills -----------------------------------------------------
   // Per-tenant hoard budget; 0 disables refills entirely (a pure
   // learning/checkpointing server).
   uint64_t hoard_budget_bytes = 0;
+  // Per-tenant refill period. Refills run synchronously on Tick, at most 4
+  // per call, so one Tick holds the control thread only briefly. The rest
+  // wait for the next Tick, which a router with a `wake` asks for at once.
   Time hoard_interval = 6 * kMicrosPerHour;
-  // Refills run synchronously on Tick; cap how many per call so one Tick
-  // holds the control thread only briefly. The rest wait for the next
-  // Tick, which a router with a `wake` asks for at once.
-  size_t max_refills_per_tick = 4;
   // Per-file sizes for hoard selection (see HoardManager::SizeFn).
   HoardManager::SizeFn size_of;
 };
@@ -184,9 +182,10 @@ class TenantRouter {
   StatusOr<Correlator*> CorrelatorFor(TenantId tenant);
 
   // Control-plane heartbeat for single-threaded callers: TickTenants then
-  // EvictOverBudget, after flagging every tenant whose WAL has reached
-  // wal_checkpoint_bytes (no AfterDelivery runs without a transport).
-  // Returns the first error encountered (the pass still completes).
+  // EvictOverBudget. Returns the first error encountered (the pass still
+  // completes). A WAL-due tenant is flagged only by AfterDelivery, so an
+  // in-process caller that wants WAL-triggered checkpoints calls it after
+  // routing, as a transport does.
   Status Tick(Time now);
 
   // Tick's two halves, for a transport that runs them under different
@@ -210,10 +209,11 @@ class TenantRouter {
   // the router's lifetime.
   std::mutex* TenantMutex(TenantId tenant);
 
-  // Called by a transport after a delivery to a resident tenant, still
-  // holding its lock: once the tenant's WAL has reached
-  // wal_checkpoint_bytes, flags it for the next Tick and calls `wake` —
-  // once per crossing, not once per delivery.
+  // Called after a delivery to a resident tenant — by a transport still
+  // holding the tenant's lock, or by an in-process caller after routing:
+  // once the tenant's WAL has reached wal_checkpoint_bytes, flags it for
+  // the next Tick and calls `wake` — once per crossing, not once per
+  // delivery. The only WAL trigger: Tick does not look at WAL sizes.
   void AfterDelivery(TenantId tenant);
 
   // Synchronous checkpoint of one tenant (seal + encode + write + prune
@@ -330,7 +330,7 @@ class TenantRouter {
     // to decide whether to visit the tenant, then clears it under the lock.
     std::atomic<bool> changed{true};
     // Set under the tenant's lock once its WAL reached wal_checkpoint_bytes
-    // (FlagIfWalDue); cleared when a checkpoint folds the WAL. TickTenants
+    // (AfterDelivery); cleared when a checkpoint folds the WAL. TickTenants
     // reads it without the lock, like `changed`.
     std::atomic<bool> wal_due{false};
     bool aux_loaded = false;  // pins/misses recovered from the store once
@@ -350,17 +350,15 @@ class TenantRouter {
   // The per-callback route target; latches errors into last_error_.
   ReferenceSink* Route(TenantId tenant);
   Status Restore(Tenant* t);
-  Status SettleCheckpoint(Tenant* t);  // join + harvest if in flight
-  void HarvestCheckpoint(Tenant* t);   // stats + counters after a finish
+  // Joins the tenant's background checkpoint if one is in flight, then
+  // harvests it: counters, seal stall, persisted meta.
+  Status SettleCheckpoint(Tenant* t);
   void RecordSealStall(uint64_t micros);
   Status EvictLocked(Tenant* t);
   Time StaggerPhase(TenantId tenant) const;
   // Refreshes the accounting of tenants marked `changed` and re-sums
   // resident_bytes_; under the shared plane lock, see TickTenants.
   void RefreshResidentBytes();
-  // Sets t->wal_due when the WAL has reached wal_checkpoint_bytes; true
-  // when this call set it. Caller holds the tenant's lock (or runs alone).
-  bool FlagIfWalDue(Tenant* t);
   // Refreshes the eviction-surviving stats caches and rewrites the aux
   // section; called after every successful checkpoint.
   Status PersistTenantMeta(Tenant* t);

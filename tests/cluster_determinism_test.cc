@@ -1,10 +1,7 @@
-// Determinism guarantees of the parallel/incremental clustering engine:
+// Determinism guarantees of the parallel clustering engine:
 //
 //   * the ClusterSet is bit-identical at any thread count (scoring is
 //     parallel but pure per-edge; the union/emit order is fixed);
-//   * an incremental rebuild (cached edge buckets, dirty-set rescore, label
-//     replay) produces exactly what a from-scratch full build produces,
-//     including across deletes, renames, and exclusions;
 //   * the kn/kf two-threshold semantics (combine vs overlap) survive the
 //     flat-structure engine when driven through real relation-table rows
 //     rather than the investigated-pair side channel.
@@ -33,38 +30,11 @@ bool SameClusterSet(const ClusterSet& a, const ClusterSet& b) {
   return a.membership_offset == b.membership_offset && a.membership_ids == b.membership_ids;
 }
 
-// One recorded event stream, replayable into any number of correlators so
-// every instance sees byte-identical input.
-struct Event {
-  enum Kind { kRef, kDelete, kRename, kExclude } kind = kRef;
-  Pid pid = 0;
-  PathId path = kInvalidPathId;
-  PathId to = kInvalidPathId;
-  Time time = 0;
-};
-
-void Apply(Correlator* c, const std::vector<Event>& events) {
-  for (const Event& e : events) {
-    switch (e.kind) {
-      case Event::kRef: {
-        FileReference ref;
-        ref.pid = e.pid;
-        ref.kind = RefKind::kPoint;
-        ref.path = e.path;
-        ref.time = e.time;
-        c->OnReference(ref);
-        break;
-      }
-      case Event::kDelete:
-        c->OnFileDeleted(e.path, e.time);
-        break;
-      case Event::kRename:
-        c->OnFileRenamed(e.path, e.to, e.time);
-        break;
-      case Event::kExclude:
-        c->OnFileExcluded(e.path);
-        break;
-    }
+// One recorded reference stream, replayable into any number of correlators
+// so every instance sees byte-identical input.
+void Apply(Correlator* c, const std::vector<FileReference>& refs) {
+  for (const FileReference& ref : refs) {
+    c->OnReference(ref);
   }
 }
 
@@ -75,30 +45,31 @@ PathId StreamPath(const std::string& ns, int i) {
 
 // A deterministic randomized reference round: `count` references over
 // `files` paths spread across a handful of process streams.
-std::vector<Event> RandomRefs(std::mt19937* rng, const std::string& ns, int files, int count,
-                              Time* t) {
+std::vector<FileReference> RandomRefs(std::mt19937* rng, const std::string& ns, int files,
+                                      int count, Time* t) {
   std::uniform_int_distribution<int> file_dist(0, files - 1);
   std::uniform_int_distribution<int> pid_dist(1, 6);
-  std::vector<Event> events;
-  events.reserve(count);
+  std::vector<FileReference> refs;
+  refs.reserve(count);
   for (int i = 0; i < count; ++i) {
-    Event e;
-    e.kind = Event::kRef;
-    e.pid = static_cast<Pid>(pid_dist(*rng));
-    e.path = StreamPath(ns, file_dist(*rng));
-    e.time = (*t += 500);
-    events.push_back(e);
+    FileReference ref;
+    ref.pid = static_cast<Pid>(pid_dist(*rng));
+    ref.kind = RefKind::kPoint;
+    ref.path = StreamPath(ns, file_dist(*rng));
+    ref.time = (*t += 500);
+    refs.push_back(ref);
   }
-  return events;
+  return refs;
 }
 
 // Identical streams into builders pinned at 1, 2, and 8 threads must yield
-// identical ClusterSets — on the cold build and on a warm incremental one.
+// identical ClusterSets — on a first build, and again after more
+// references (a second full pass over the grown tables).
 TEST(ClusterDeterminism, ThreadCountInvariance) {
   std::mt19937 rng(20260806);
   Time t = 0;
-  const std::vector<Event> cold = RandomRefs(&rng, "tc", 96, 700, &t);
-  const std::vector<Event> touch = RandomRefs(&rng, "tc", 96, 30, &t);
+  const std::vector<FileReference> cold = RandomRefs(&rng, "tc", 96, 700, &t);
+  const std::vector<FileReference> touch = RandomRefs(&rng, "tc", 96, 30, &t);
 
   Correlator serial;
   Correlator two;
@@ -125,89 +96,6 @@ TEST(ClusterDeterminism, ThreadCountInvariance) {
   const ClusterSet warm8 = eight.BuildClusters();
   EXPECT_TRUE(SameClusterSet(warm1, warm2));
   EXPECT_TRUE(SameClusterSet(warm1, warm8));
-}
-
-// Two correlators over the same randomized stream — one rebuilding
-// incrementally, one forced to rescore everything — must agree after every
-// round, including rounds with deletions, renames, and exclusions (the
-// events that invalidate cached rows, candidate sets, and component
-// labels). At least one round must actually take the incremental path, or
-// the test would only be comparing full builds with themselves — so the
-// stream has project locality (as real workloads do): a fully random
-// stream dirties most of the table and always falls back to a full pass.
-TEST(ClusterDeterminism, IncrementalMatchesFullAcrossRandomizedRounds) {
-  std::mt19937 rng(97);
-  Time t = 0;
-  const int kFiles = 180;   // 15 projects of 12 files
-  const int kProject = 12;
-
-  Correlator incremental;
-  Correlator scratch;
-  scratch.SetIncrementalClustering(false);
-
-  // Cold phase: one process stream per project, two passes — dense
-  // in-project relations, none across projects.
-  std::vector<Event> cold;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int f = 0; f < kFiles; ++f) {
-      Event e;
-      e.kind = Event::kRef;
-      e.pid = static_cast<Pid>(1 + f / kProject);
-      e.path = StreamPath("if", f);
-      e.time = (t += 500);
-      cold.push_back(e);
-    }
-  }
-  Apply(&incremental, cold);
-  Apply(&scratch, cold);
-  EXPECT_TRUE(SameClusterSet(incremental.BuildClusters(), scratch.BuildClusters()));
-
-  bool any_incremental = false;
-  std::uniform_int_distribution<int> file_dist(0, kFiles - 1);
-  std::uniform_int_distribution<int> project_dist(0, kFiles / kProject - 1);
-  for (int round = 0; round < 10; ++round) {
-    // A burst of work inside one randomly chosen project.
-    const int base = project_dist(rng) * kProject;
-    std::uniform_int_distribution<int> local(0, kProject - 1);
-    std::vector<Event> events;
-    for (int i = 0; i < 8; ++i) {
-      Event e;
-      e.kind = Event::kRef;
-      e.pid = static_cast<Pid>(1 + base / kProject);
-      e.path = StreamPath("if", base + local(rng));
-      e.time = (t += 500);
-      events.push_back(e);
-    }
-    if (round % 2 == 1) {
-      Event del;
-      del.kind = Event::kDelete;
-      del.path = StreamPath("if", file_dist(rng));
-      del.time = (t += 500);
-      events.push_back(del);
-    }
-    if (round % 3 == 2) {
-      Event ren;
-      ren.kind = Event::kRename;
-      ren.path = StreamPath("if", file_dist(rng));
-      ren.to = GlobalPaths().Intern("/if/moved/r" + std::to_string(round));
-      ren.time = (t += 500);
-      events.push_back(ren);
-    }
-    if (round % 4 == 3) {
-      Event ex;
-      ex.kind = Event::kExclude;
-      ex.path = StreamPath("if", file_dist(rng));
-      events.push_back(ex);
-    }
-    Apply(&incremental, events);
-    Apply(&scratch, events);
-
-    const ClusterSet got = incremental.BuildClusters();
-    const ClusterSet want = scratch.BuildClusters();
-    EXPECT_TRUE(SameClusterSet(got, want)) << "round " << round;
-    any_incremental = any_incremental || incremental.last_cluster_stats().incremental;
-  }
-  EXPECT_TRUE(any_incremental);
 }
 
 // kn/kf semantics through real relation rows: A and B share three live

@@ -186,6 +186,46 @@ TEST_F(CorrelatorTest, RunInvestigatorsAgainstFilesystem) {
   EXPECT_TRUE(together);
 }
 
+// One RunInvestigators call also investigates the files its own relations
+// intern. Here a.c includes b.h and b.h includes c.h, but only a.c was ever
+// referenced: b.h is first interned by a.c's relation. If only the next
+// call investigated it, two refills with no event between them would
+// cluster differently.
+TEST_F(CorrelatorTest, RunInvestigatorsReachesAFixpointInOneCall) {
+  SimFilesystem fs;
+  fs.MkdirAll("/chain");
+  fs.CreateFile("/chain/a.c", 0);
+  fs.CreateFile("/chain/b.h", 0);
+  fs.CreateFile("/chain/c.h", 0);
+  fs.WriteContent("/chain/a.c", "#include \"b.h\"\n");
+  fs.WriteContent("/chain/b.h", "#include \"c.h\"\n");
+
+  correlator_.OnReference(Ref(1, RefKind::kPoint, "/chain/a.c", Now()));
+  correlator_.AddInvestigator(std::make_unique<IncludeScanner>(10.0));
+  correlator_.RunInvestigators(fs);
+  const ClusterSet first = correlator_.BuildClusters();
+  correlator_.RunInvestigators(fs);
+  const ClusterSet second = correlator_.BuildClusters();
+
+  ASSERT_EQ(first.clusters.size(), second.clusters.size());
+  for (size_t i = 0; i < first.clusters.size(); ++i) {
+    EXPECT_EQ(first.clusters[i].members, second.clusters[i].members) << "cluster " << i;
+  }
+  EXPECT_EQ(first.membership_offset, second.membership_offset);
+  EXPECT_EQ(first.membership_ids, second.membership_ids);
+
+  // The first call already related b.h to c.h.
+  const FileId b = correlator_.files().FindPath("/chain/b.h");
+  const FileId c = correlator_.files().FindPath("/chain/c.h");
+  ASSERT_NE(kInvalidFileId, c);
+  bool together = false;
+  for (const uint32_t ci : first.ClustersOf(b)) {
+    const auto& members = first.clusters[ci].members;
+    together |= std::find(members.begin(), members.end(), c) != members.end();
+  }
+  EXPECT_TRUE(together);
+}
+
 TEST_F(CorrelatorTest, MemoryBytesGrowsWithFiles) {
   const size_t before = correlator_.MemoryBytes();
   for (int i = 0; i < 100; ++i) {

@@ -273,38 +273,5 @@ TEST(RelationTable, MeanCacheInvalidatedOnFold) {
   EXPECT_LT(h.table().DistanceOrNegative(a, h.Id("mid")), 0.0);
 }
 
-// Satellite regression: MarkSetChanged used to copy reverse_[id] into a
-// temporary vector on every call — a rename storm over a well-connected
-// file paid one allocation + full copy per rename. The index-based walk
-// must still stamp the file and every reverse owner, every time.
-TEST(RelationTable, RenameStormStampsAllReverseOwners) {
-  RelationHarness h;
-  const FileId hub = h.Id("hub");
-  std::vector<FileId> owners;
-  for (int i = 0; i < 200; ++i) {
-    const FileId o = h.Id("owner" + std::to_string(i));
-    h.table().Observe(o, hub, 1.0);
-    owners.push_back(o);
-  }
-
-  for (int round = 0; round < 50; ++round) {
-    const uint64_t epoch = h.table().set_change_epoch();
-    h.table().MarkSetChanged(hub);
-    std::vector<FileId> changed;
-    h.table().CollectChangedSince(epoch, &changed);
-    ASSERT_EQ(changed.size(), owners.size() + 1) << "round " << round;
-  }
-
-  // Stamping an id the table has never sized for must grow the tables and
-  // not touch anyone else.
-  const FileId fresh = h.Id("fresh-after-storm");
-  const uint64_t epoch = h.table().set_change_epoch();
-  h.table().MarkSetChanged(fresh);
-  std::vector<FileId> changed;
-  h.table().CollectChangedSince(epoch, &changed);
-  ASSERT_EQ(changed.size(), 1u);
-  EXPECT_EQ(changed[0], fresh);
-}
-
 }  // namespace
 }  // namespace seer

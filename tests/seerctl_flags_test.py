@@ -6,8 +6,12 @@ seerctl refuses a flag that is not in the command's flag list
 but missing from that list would be refused. For each command, nested ones
 included, this reads `seerctl ... CMD --help`, collects every flag the help
 text names outside `backquoted` spans (which quote other commands), and
-runs `seerctl ... CMD FLAG` with nothing else: the command must fail for
-its missing arguments, not for the flag.
+runs `seerctl ... CMD FLAG` with nothing else: the command must not refuse
+the flag as unknown (it fails for its missing arguments, or for the missing
+value of a value flag given last).
+
+It also checks that a value flag given as the last word is refused, exit 2,
+instead of running the command without it.
 
 Usage: seerctl_flags_test.py PATH_TO_SEERCTL
 """
@@ -55,6 +59,13 @@ def main():
                     if "unknown flag" in result.stderr:
                         failures.append(f"seerctl {' '.join(path)}: its help names {flag}, "
                                         f"which it refuses: {result.stderr.strip()}")
+        # A value flag given last is refused, not read as absent (which would
+        # replay TRACE, save nothing and exit 0).
+        result = run(seerctl, ["replay", "trace.txt", "--save"], cwd)
+        want = "seerctl replay: flag '--save' needs a value"
+        if result.returncode != 2 or result.stderr.strip() != want:
+            failures.append(f"seerctl replay trace.txt --save: exit {result.returncode}, "
+                            f"stderr {result.stderr.strip()!r}; want exit 2, {want!r}")
     for failure in failures:
         print("FAIL", failure)
     print(f"{checked} documented flags checked, {len(failures)} refused")

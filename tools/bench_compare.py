@@ -41,8 +41,7 @@ META_KEYS = {
     "threads", "files", "references", "refs", "streams", "tenants",
     "refs_per_tenant", "total_refs", "queue_capacity", "encode_threads",
     "clusters", "touched", "segments", "batches", "barriers",
-    "frames_received", "events_ingested", "dirty_files", "files_rescored",
-    "budget_bytes",
+    "frames_received", "events_ingested", "budget_bytes",
     "dirty_clusters", "reused_aggregates", "touched_files",
 }
 

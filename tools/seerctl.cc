@@ -106,10 +106,11 @@ bool FindFlag(std::string_view flags, std::string_view name, bool* takes_value) 
 // A word that names a flag; a lone "-" is a positional (stdin, say).
 bool IsFlagWord(const char* arg) { return arg[0] == '-' && arg[1] != '\0'; }
 
-// The first argument at or after `start` that is a flag `flags` does not
-// list, or nullptr. A listed value flag spelled without '=' consumes the
-// word after it.
-const char* UnknownFlag(const char* flags, int argc, char** argv, int start) {
+// What is wrong with the flags at or after `start`, or "" when nothing
+// is: the first flag `flags` does not list, or a listed value flag that is
+// the last word, so has no value. A listed value flag spelled without '='
+// consumes the word after it.
+std::string FlagError(const char* flags, int argc, char** argv, int start) {
   for (int i = start; i < argc; ++i) {
     const char* arg = argv[i];
     if (!IsFlagWord(arg)) {
@@ -121,13 +122,15 @@ const char* UnknownFlag(const char* flags, int argc, char** argv, int start) {
                                          : std::strlen(arg));
     bool takes_value = false;
     if (!FindFlag(flags, name, &takes_value) || (!takes_value && inline_value != nullptr)) {
-      return arg;
+      return "unknown flag '" + std::string(arg) + "'";
     }
     if (takes_value && inline_value == nullptr) {
-      ++i;  // the flag's value
+      if (++i == argc) {  // the flag's value
+        return "flag '" + std::string(arg) + "' needs a value";
+      }
     }
   }
-  return nullptr;
+  return "";
 }
 
 // The flags of the command RunRegistry is running, for positional scanning
@@ -170,13 +173,14 @@ int RunRegistry(const char* program, const std::vector<Subcommand>& commands, in
       return 0;
     }
     if (!command.has_subcommands) {
-      if (const char* unknown = UnknownFlag(command.flags, argc, argv, start + 1)) {
+      const std::string error = FlagError(command.flags, argc, argv, start + 1);
+      if (!error.empty()) {
         // Name the command the way it was typed (`seerctl db save`).
         std::string typed = program;
         for (int i = 1; i <= start; ++i) {
           typed += std::string(" ") + argv[i];
         }
-        std::fprintf(stderr, "%s: unknown flag '%s'\n", typed.c_str(), unknown);
+        std::fprintf(stderr, "%s: %s\n", typed.c_str(), error.c_str());
         return 2;
       }
     }
@@ -668,17 +672,12 @@ int ClusterStats(int argc, char** argv, int start) {
               clusters.clusters.size(), multi, stats.candidates, stats.build_ms, stats.threads,
               stats.threads == 1 ? "" : "s");
   if (HasFlag(argc, argv, start, "--stats")) {
-    std::printf("  build mode:     %s\n", stats.incremental ? "incremental" : "full");
-    std::printf("  dirty files:    %zu\n", stats.dirty_files);
-    std::printf("  files rescored: %zu\n", stats.files_rescored);
     std::printf("  edges scored:   %zu\n", stats.edges_scored);
     const auto pct = [&](double ms) {
       return stats.build_ms > 0.0 ? 100.0 * ms / stats.build_ms : 0.0;
     };
     std::printf("  pack:           %.2f ms (%.0f%% of build)\n", stats.pack_ms,
                 pct(stats.pack_ms));
-    std::printf("  plan:           %.2f ms (%.0f%% of build)\n", stats.plan_ms,
-                pct(stats.plan_ms));
     std::printf("  score:          %.2f ms (%.0f%% of build)\n", stats.score_ms,
                 pct(stats.score_ms));
     std::printf("  merge:          %.2f ms (%.0f%% of build)\n", stats.merge_ms,
@@ -1627,7 +1626,7 @@ const std::vector<Subcommand>& Commands() {
       {"cluster", "cluster DB [--stats] [--threads K]",
        "Build project clusters with the parallel engine and print build\n"
        "statistics.\n\n"
-       "  --stats        also print dirty-set size, rescored files, edges\n"
+       "  --stats        also print edges scored and the phase split\n"
        "  --threads K    scoring threads (default: SEER_THREADS, else all\n"
        "                 cores); --threads=K is accepted too\n",
        ClusterStats, "--stats --threads="},
