@@ -42,9 +42,11 @@ void Correlator::OnReference(const FileReference& ref) {
       streams_.OnPoint(ref.pid, id, ref.time, &scratch_obs_);
       break;
   }
+  // One packed liveness byte per source (zero means live), not a whole
+  // FileRecord.
+  const uint8_t* flags = files_.liveness_flags();
   for (const DistanceObservation& obs : scratch_obs_) {
-    const FileRecord& from = files_.Get(obs.from);
-    if (from.deleted || from.excluded) {
+    if (flags[obs.from] != 0) {
       continue;
     }
     relations_.Observe(obs.from, obs.to, obs.distance);
@@ -92,9 +94,9 @@ void Correlator::FlushSegment() {
   // flags OnReference's per-reference filter would have seen.
   mark = std::chrono::steady_clock::now();
   ++ingest_stats_.serial_folds;
+  const uint8_t* flags = files_.liveness_flags();
   for (const DistanceObservation& obs : segment_obs_) {
-    const FileRecord& from = files_.Get(obs.from);
-    if (from.deleted || from.excluded) {
+    if (flags[obs.from] != 0) {
       continue;
     }
     relations_.Observe(obs.from, obs.to, obs.distance);

@@ -81,6 +81,7 @@ std::vector<FileId> FileTable::MarkDeleted(FileId id, uint64_t delete_delay) {
     rec.deleted = true;
     flags_[id] |= kFlagDeleted;
     rec.deleted_at_deletion_count = ++deletion_count_;
+    ++deletion_marks_;
     pending_purge_.push_back(id);
     Touch(id);
   }
@@ -117,6 +118,7 @@ void FileTable::RenameFile(FileId from, PathId to) {
   if (existing != kInvalidFileId && existing != from) {
     records_[existing].deleted = true;
     flags_[existing] |= kFlagDeleted;
+    ++deletion_marks_;
     SetPath(existing, kInvalidPathId);
     Touch(existing);
   }

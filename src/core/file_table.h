@@ -114,6 +114,12 @@ class FileTable {
 
   uint64_t deletion_count() const { return deletion_count_; }
 
+  // Bumped whenever a file gains the deleted mark (MarkDeleted, and the
+  // record a rename retires). The relation table's row bounds hold only
+  // while it is unchanged: a newly deleted neighbour can turn a rejected
+  // candidate into a replacement. Not persisted.
+  uint64_t deletion_marks() const { return deletion_marks_; }
+
   // All live (not deleted, not excluded) ids.
   std::vector<FileId> LiveIds() const;
 
@@ -150,6 +156,7 @@ class FileTable {
   // flat: one array read per reference.
   std::vector<FileId> by_path_;
   uint64_t deletion_count_ = 0;
+  uint64_t deletion_marks_ = 0;
   std::deque<FileId> pending_purge_;  // deletion-marked, FIFO
 };
 

@@ -35,6 +35,29 @@ double Neighbor::MeanDistance(MeanKind kind) const {
 RelationTable::RelationTable(const SeerParams& params, const FileTable* files, uint64_t seed)
     : params_(params), files_(files), cap_(params.max_neighbors), rng_(seed) {
   RefreshTieKey();
+  RebuildLogTable();
+}
+
+void RelationTable::OverrideParams(SeerParams params) {
+  params.max_neighbors = params_.max_neighbors;
+  const bool new_mean = params.mean_kind != params_.mean_kind;
+  params_ = params;
+  RebuildLogTable();
+  if (new_mean) {
+    std::fill(nb_mean_upd_.begin(), nb_mean_upd_.end(), kMeanStampInvalid);
+    std::fill(bound_.begin(), bound_.end(), RowBound());
+  }
+}
+
+void RelationTable::RebuildLogTable() {
+  const int top = std::clamp(params_.distance_horizon, 0, kLogTableMax);
+  std::vector<LogEntry> table(static_cast<size_t>(top) + 1);
+  for (size_t d = 0; d < table.size(); ++d) {
+    const double distance = static_cast<double>(d);
+    table[d].log = std::log(distance > 0.0 ? distance : params_.geometric_zero_floor);
+    table[d].exp = std::exp(table[d].log);
+  }
+  log_table_.swap(table);
 }
 
 void RelationTable::RefreshTieKey() {
@@ -62,11 +85,13 @@ void RelationTable::EnsureSize(FileId id) {
     nb_upd_.resize(slots, 0);
     nb_mean_.resize(slots, 0.0);
     nb_mean_upd_.resize(slots, kMeanStampInvalid);
+    bound_.resize(files);
   }
 }
 
 void RelationTable::StampData(FileId id) {
   stripe_stamp_[id >> kStripeShift] = ++data_epoch_;
+  bound_[id].marks = kBoundVoid;
 }
 
 void RelationTable::RevAdd(FileId owner, FileId neighbor) {
@@ -109,14 +134,6 @@ double RelationTable::MeanOfSlot(size_t slot) const {
   return std::exp(nb_log_[slot] / static_cast<double>(obs));
 }
 
-double RelationTable::CachedMean(size_t slot) {
-  if (nb_mean_upd_[slot] != nb_upd_[slot]) {
-    nb_mean_[slot] = MeanOfSlot(slot);
-    nb_mean_upd_[slot] = nb_upd_[slot];
-  }
-  return nb_mean_[slot];
-}
-
 void RelationTable::WriteCandidate(size_t slot, FileId to, double cand_log, double distance,
                                    uint64_t ordinal) {
   nb_id_[slot] = to;
@@ -156,6 +173,14 @@ void RelationTable::Observe(FileId from, FileId to, double distance) {
   }
   EnsureSize(from);
   const uint64_t ordinal = ++update_count_;
+  // An integer distance the log table covers takes its logarithm (and the
+  // candidate's geometric mean) from the table; the range test comes
+  // before the cast. Anything else calls std::log on the floored value.
+  const LogEntry* log_entry = nullptr;
+  if (distance >= 0.0 && distance < static_cast<double>(log_table_.size())) {
+    const size_t d = static_cast<size_t>(distance);
+    log_entry = static_cast<double>(d) == distance ? &log_table_[d] : nullptr;
+  }
   const double floored =
       distance > 0.0 ? distance : params_.geometric_zero_floor;
   const size_t base = static_cast<size_t>(from) * cap_;
@@ -189,17 +214,17 @@ void RelationTable::Observe(FileId from, FileId to, double distance) {
   }
   if (slot >= 0) {
     const size_t s = base + static_cast<size_t>(slot);
-    nb_log_[s] += std::log(floored);
+    nb_log_[s] += log_entry != nullptr ? log_entry->log : std::log(floored);
     nb_lin_[s] += distance;
     ++nb_obs_[s];
     // The new ordinal outruns the slot's mean stamp, so the cache line
-    // goes stale with no extra store (see CachedMean).
+    // goes stale with no extra store (see nb_mean_).
     nb_upd_[s] = ordinal;
     StampData(from);
     return;
   }
 
-  const double cand_log = std::log(floored);
+  const double cand_log = log_entry != nullptr ? log_entry->log : std::log(floored);
 
   if (count < static_cast<uint32_t>(cap_)) {
     WriteCandidate(base + count, to, cand_log, distance, ordinal);
@@ -209,6 +234,23 @@ void RelationTable::Observe(FileId from, FileId to, double distance) {
   }
   if (count == 0) {
     return;  // cap of zero: nothing to track
+  }
+
+  // The candidate's mean as a one-observation entry.
+  double candidate_dist = distance;
+  if (params_.mean_kind == MeanKind::kGeometric) {
+    candidate_dist = log_entry != nullptr ? log_entry->exp : std::exp(cand_log);
+  }
+
+  // The row's bound answers a miss without the scan while no list entry
+  // changed and no file gained its deletion mark since the scan that set
+  // it: the scan would find no deleted neighbour and the same worst mean
+  // and oldest ordinal, so it would end in the two tests below.
+  const RowBound& bound = bound_[from];
+  const uint64_t marks = files_->deletion_marks();
+  if (bound.marks == marks && !(bound.worst > candidate_dist) &&
+      !(ordinal - bound.oldest > params_.aging_updates)) {
+    return;
   }
 
   // Replacement priority 1: the first neighbor marked for deletion. One
@@ -256,9 +298,6 @@ void RelationTable::Observe(FileId from, FileId to, double distance) {
       }
     }
   }
-  const double candidate_dist = params_.mean_kind == MeanKind::kArithmetic
-                                    ? distance / 1.0
-                                    : std::exp(cand_log / 1.0);
   if (worst_dist > candidate_dist) {
     const FileId removed = ids[worst];
     WriteCandidate(base + worst, to, cand_log, distance, ordinal);
@@ -282,7 +321,10 @@ void RelationTable::Observe(FileId from, FileId to, double distance) {
     const FileId removed = ids[oldest];
     WriteCandidate(base + oldest, to, cand_log, distance, ordinal);
     NoteStructure(from, removed, to);
+    return;
   }
+  // Dropped: keep what the scan ended with as the row's bound.
+  bound_[from] = {worst_dist, oldest_update, marks};
 }
 
 RelationTable::NeighborRange RelationTable::NeighborsOf(FileId from) const {
@@ -461,6 +503,8 @@ size_t RelationTable::MemoryBytes() const {
                  nb_upd_.capacity() * sizeof(uint64_t) + nb_mean_.capacity() * sizeof(double) +
                  nb_mean_upd_.capacity() * sizeof(uint64_t) +
                  nb_count_.capacity() * sizeof(uint32_t) +
+                 bound_.capacity() * sizeof(RowBound) +
+                 log_table_.capacity() * sizeof(LogEntry) +
                  reverse_.capacity() * sizeof(std::vector<FileId>) +
                  stripe_stamp_.capacity() * sizeof(uint64_t);
   for (const auto& rev : reverse_) {

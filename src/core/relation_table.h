@@ -20,6 +20,14 @@
 // a full-list scan is one contiguous stripe of each array (the id stripe
 // for membership, the mean stripe for replacement) and steady-state
 // ingest performs no per-list allocation at all.
+//
+// Most observations that miss a full list change nothing: no neighbour is
+// deleted, every entry is nearer than the candidate and none has aged.
+// The scan that proves it ends with the list's worst mean and oldest
+// update ordinal; the list keeps the two as a rejection bound, and a later
+// miss is dropped with the scan's last two comparisons while the bound
+// holds. Any change to the list, a file gaining its deletion mark, or a
+// new mean kind voids it, so a drop never differs from the full scan's.
 #ifndef SRC_CORE_RELATION_TABLE_H_
 #define SRC_CORE_RELATION_TABLE_H_
 
@@ -106,11 +114,9 @@ class RelationTable {
   // Live-tuning override (`params set` against a running service): swaps
   // in the new aging/distance knobs but pins max_neighbors to the value
   // the slab was built with — cap_ bakes the stripe geometry, so changing
-  // it takes a snapshot round-trip, not an override.
-  void OverrideParams(SeerParams params) {
-    params.max_neighbors = params_.max_neighbors;
-    params_ = params;
-  }
+  // it takes a snapshot round-trip, not an override. A new mean kind
+  // voids every cached mean and row bound.
+  void OverrideParams(SeerParams params);
 
   // Records an observation `distance` for the ordered pair (from -> to):
   // folds it into an existing entry, appends it, or runs the replacement
@@ -224,13 +230,8 @@ class RelationTable {
   // Mean of slab entry `slot` computed fresh (no cache access).
   double MeanOfSlot(size_t slot) const;
 
-  // Cached mean of slab entry `slot`. Validity is epoch-based: the line is
-  // current iff nb_mean_upd_[slot] equals the entry's last-update ordinal
-  // (ordinals only grow, so any fold or overwrite invalidates implicitly —
-  // the hot loop never writes a sentinel). The cached value is
-  // bit-identical to a fresh computation, so caching never changes a
-  // replacement decision, and the cache is never serialized.
-  double CachedMean(size_t slot);
+  // Rebuilds log_table_ for the current distance horizon and zero floor.
+  void RebuildLogTable();
 
   // Overwrites slab entry `slot` with a fresh single-observation candidate
   // stamped with the observation's global ordinal.
@@ -248,9 +249,35 @@ class RelationTable {
   std::vector<double> nb_lin_;
   std::vector<uint32_t> nb_obs_;
   std::vector<uint64_t> nb_upd_;
-  std::vector<double> nb_mean_;      // lazy mean cache (see CachedMean)
+  // Lazy mean cache, refreshed by the replacement scan. A line is current
+  // iff nb_mean_upd_ equals the entry's last-update ordinal (ordinals only
+  // grow, so any fold or overwrite invalidates it with no extra store).
+  // The cached value is bit-identical to a fresh computation, so caching
+  // never changes a replacement decision, and it is never serialized.
+  std::vector<double> nb_mean_;
   std::vector<uint64_t> nb_mean_upd_;  // nb_upd_ value the cache line is for
   std::vector<uint32_t> nb_count_;
+
+  // Per-file rejection bound (see the file comment): the worst mean and
+  // oldest update ordinal a full scan of the list ended with, and the file
+  // table's deletion_marks() when it did. StampData voids it.
+  static constexpr uint64_t kBoundVoid = UINT64_MAX;
+  struct RowBound {
+    double worst = 0.0;
+    uint64_t oldest = 0;
+    uint64_t marks = kBoundVoid;
+  };
+  std::vector<RowBound> bound_;
+
+  // log of the floored distance d, and exp of that log, for the integers
+  // d in [0, min(M, kLogTableMax)]: the values std::log/std::exp return,
+  // looked up. The lifetime and sequence measures only emit such d.
+  static constexpr int kLogTableMax = 4096;
+  struct LogEntry {
+    double log;
+    double exp;
+  };
+  std::vector<LogEntry> log_table_;
 
   // reverse_[id] = files whose lists contain id. Maintained by every list
   // mutation; an id appears at most once per owner (lists are id-unique).

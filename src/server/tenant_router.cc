@@ -212,6 +212,10 @@ Status TenantRouter::SetTenantParams(TenantId tenant, const std::string& text) {
   if (t != nullptr && t->durable != nullptr) {
     t->durable->correlator().OverrideTuningParams(effective);
     t->changed.store(true, std::memory_order_relaxed);
+    // Recovery replays a WAL under the params of the snapshot it follows,
+    // so the events after the override must start a new WAL: checkpoint
+    // now, and the snapshot carries the new params.
+    return CheckpointTenant(tenant);
   }
   return Status::Ok();
 }

@@ -245,7 +245,8 @@ class TenantRouter {
   // — atomically, like every other store artifact — and re-applied on
   // every restore, so it survives eviction and router restart. Setting
   // params on a resident tenant applies them live (max_neighbors stays
-  // pinned; see Correlator::OverrideTuningParams).
+  // pinned; see Correlator::OverrideTuningParams) and checkpoints it, so
+  // the WAL that follows is replayed under the new params.
   Status SetTenantParams(TenantId tenant, const std::string& text);
   // Effective params rendered as params_io text: the live correlator's
   // when resident, else override-over-defaults. NotFound for tenants the

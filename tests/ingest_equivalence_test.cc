@@ -11,12 +11,15 @@
 // cut inside a single batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "src/core/async_pipeline.h"
 #include "src/core/correlator.h"
+#include "src/core/reference_streams.h"
 
 namespace seer {
 namespace {
@@ -213,6 +216,181 @@ TEST(IngestEquivalence, AlternateDistanceAndMeanKinds) {
           << "distance_kind=" << static_cast<int>(dk)
           << " mean_kind=" << static_cast<int>(mk);
     }
+  }
+}
+
+// A live `mean` override must leave the correlator exactly where a
+// correlator decoded from a snapshot of the pre-override state lands after
+// the same override and the same events: the cached means the replacement
+// scan compares were computed under the old mean kind, so the override has
+// to void them (and every row bound built from them).
+TEST(IngestEquivalence, MeanOverrideMatchesADecodedCorrelator) {
+  for (const uint32_t seed : {11u, 12u, 13u}) {
+    for (const MeanKind to : {MeanKind::kArithmetic, MeanKind::kGeometric}) {
+      SeerParams before = ChurnParams();
+      before.mean_kind = to == MeanKind::kArithmetic ? MeanKind::kGeometric : MeanKind::kArithmetic;
+      SeerParams after = before;
+      after.mean_kind = to;
+      const std::vector<IngestEvent> events = RandomTrace(seed, 3000);
+      const std::vector<IngestEvent> head(events.begin(), events.begin() + 1500);
+      const std::vector<IngestEvent> tail(events.begin() + 1500, events.end());
+
+      Correlator live(before);
+      ApplySerial(&live, head);
+      const std::string snapshot = live.EncodeSnapshot();
+      live.OverrideTuningParams(after);
+      ApplySerial(&live, tail);
+
+      auto decoded = Correlator::DecodeSnapshot(snapshot);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+      (*decoded)->OverrideTuningParams(after);
+      ApplySerial(decoded->get(), tail);
+      EXPECT_EQ((*decoded)->EncodeSnapshot(), live.EncodeSnapshot())
+          << "seed=" << seed << " to=" << static_cast<int>(to);
+    }
+  }
+}
+
+// --- the drop rule ---------------------------------------------------------------
+//
+// An observation that misses a full neighbour list must leave the list
+// unchanged exactly when the paper's rule, recomputed from public state,
+// drops it: no listed neighbour is marked deleted, no entry's mean exceeds
+// the candidate's, and no entry has gone unupdated for more than
+// aging_updates. The trace churns (deletes, renames onto live names,
+// exclusions) and overrides the mean kind and the aging horizon mid-stream,
+// so every condition that can void a cached answer occurs.
+
+struct DropRuleCounts {
+  size_t dropped = 0;
+  size_t dead = 0;      // replaced a deletion-marked neighbour
+  size_t farther = 0;   // replaced an entry farther than the candidate
+  size_t aged = 0;      // replaced an aged entry
+};
+
+void CheckDropRule(DistanceKind kind, uint32_t seed, DropRuleCounts* counts) {
+  SeerParams params = ChurnParams();
+  params.distance_kind = kind;
+  Correlator c(params);
+  // A twin of the correlator's streams, fed the same references and
+  // process events, tells which observations each reference makes.
+  ReferenceStreams twin(params);
+  const RelationTable& table = c.relations();
+  const FileTable& files = c.files();
+  const size_t cap = static_cast<size_t>(params.max_neighbors);
+
+  const std::vector<IngestEvent> events = RandomTrace(seed, 3000);
+  std::vector<std::vector<Neighbor>> before;
+  std::vector<DistanceObservation> obs;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (i == 700 || i == 1400 || i == 2100 || i == 2500) {
+      params.mean_kind =
+          params.mean_kind == MeanKind::kGeometric ? MeanKind::kArithmetic : MeanKind::kGeometric;
+      params.aging_updates = i == 1400 ? 60 : 500;
+      c.OverrideTuningParams(params);
+      twin.OverrideParams(params);
+    }
+    const IngestEvent& e = events[i];
+    if (e.kind != IngestEvent::Kind::kReference) {
+      ApplySerial(&c, {e});
+      if (e.kind == IngestEvent::Kind::kFork) {
+        twin.OnFork(e.parent, e.child);
+      } else if (e.kind == IngestEvent::Kind::kExit) {
+        twin.OnExit(e.child);
+      }
+      continue;
+    }
+    before.assign(files.size(), {});
+    for (FileId f = 0; f < files.size(); ++f) {
+      for (const Neighbor& nb : table.NeighborsOf(f)) {
+        before[f].push_back(nb);
+      }
+    }
+    const uint64_t first_ordinal = table.update_count() + 1;
+    c.OnReference(e.ref);
+    const FileId to = files.Find(e.ref.path);
+    ASSERT_NE(kInvalidFileId, to);
+    obs.clear();
+    switch (e.ref.kind) {
+      case RefKind::kBegin:
+        twin.OnBegin(e.ref.pid, to, e.ref.time, &obs);
+        break;
+      case RefKind::kEnd:
+        twin.OnEnd(e.ref.pid, to);
+        break;
+      case RefKind::kPoint:
+        twin.OnPoint(e.ref.pid, to, e.ref.time, &obs);
+        break;
+    }
+
+    uint64_t ordinal = first_ordinal;
+    std::vector<FileId> sources;
+    for (const DistanceObservation& o : obs) {
+      const FileRecord& from = files.Get(o.from);
+      if (from.deleted || from.excluded || o.from == o.to) {
+        continue;
+      }
+      // Each list sees at most one observation per reference, so its
+      // state before the reference is its state before the observation.
+      ASSERT_EQ(sources.end(), std::find(sources.begin(), sources.end(), o.from));
+      sources.push_back(o.from);
+      const uint64_t this_ordinal = ordinal++;
+      ASSERT_LT(o.from, before.size());
+      const std::vector<Neighbor>& row = before[o.from];
+      const bool member = std::any_of(row.begin(), row.end(),
+                                      [&](const Neighbor& nb) { return nb.id == o.to; });
+      if (row.size() != cap || member) {
+        continue;
+      }
+      bool dead = false;
+      double worst = row[0].MeanDistance(params.mean_kind);
+      uint64_t oldest = row[0].last_update;
+      for (const Neighbor& nb : row) {
+        dead = dead || files.Get(nb.id).deleted;
+        worst = std::max(worst, nb.MeanDistance(params.mean_kind));
+        oldest = std::min(oldest, nb.last_update);
+      }
+      const double floored = o.distance > 0.0 ? o.distance : params.geometric_zero_floor;
+      const double candidate =
+          params.mean_kind == MeanKind::kArithmetic ? o.distance : std::exp(std::log(floored));
+      const bool farther = worst > candidate;
+      const bool aged = this_ordinal - oldest > params.aging_updates;
+      const bool drop = !dead && !farther && !aged;
+
+      size_t k = 0;
+      bool unchanged = table.NeighborsOf(o.from).size() == row.size();
+      for (const Neighbor& nb : table.NeighborsOf(o.from)) {
+        unchanged = unchanged && nb.id == row[k].id && nb.log_sum == row[k].log_sum &&
+                    nb.linear_sum == row[k].linear_sum &&
+                    nb.observations == row[k].observations &&
+                    nb.last_update == row[k].last_update;
+        ++k;
+      }
+      ASSERT_EQ(drop, unchanged) << "event=" << i << " from=" << o.from << " to=" << o.to
+                                 << " distance=" << o.distance << " dead=" << dead
+                                 << " farther=" << farther << " aged=" << aged;
+      counts->dropped += drop;
+      counts->dead += dead;
+      counts->farther += !dead && farther;
+      counts->aged += !dead && !farther && aged;
+    }
+    ASSERT_EQ(ordinal - 1, table.update_count()) << "the twin streams diverged at event " << i;
+  }
+}
+
+TEST(RelationDropRule, FullListMissIsDroppedExactlyWhenTheRuleSays) {
+  for (const DistanceKind kind :
+       {DistanceKind::kLifetime, DistanceKind::kSequence, DistanceKind::kTemporal}) {
+    DropRuleCounts counts;
+    for (const uint32_t seed : {21u, 22u, 23u}) {
+      CheckDropRule(kind, seed, &counts);
+      ASSERT_FALSE(HasFatalFailure()) << "kind=" << static_cast<int>(kind) << " seed=" << seed;
+    }
+    // Every branch of the rule was taken.
+    EXPECT_GT(counts.dropped, 0u) << "kind=" << static_cast<int>(kind);
+    EXPECT_GT(counts.dead, 0u) << "kind=" << static_cast<int>(kind);
+    EXPECT_GT(counts.farther, 0u) << "kind=" << static_cast<int>(kind);
+    EXPECT_GT(counts.aged, 0u) << "kind=" << static_cast<int>(kind);
   }
 }
 

@@ -622,6 +622,59 @@ TEST(TenantRouter, MemoryAccountingExactAfterEveryMutation) {
   ASSERT_TRUE(router.last_error().ok()) << router.last_error().message();
 }
 
+// Copies every file under `dir` from one Fs to another: what a crash at
+// this instant leaves behind (MemFs holds no unsynced data).
+void CopyTree(Fs* from, const std::string& dir, Fs* to) {
+  ASSERT_TRUE(to->MakeDirs(dir).ok());
+  const auto names = from->ListDir(dir);
+  ASSERT_TRUE(names.ok()) << names.status().message();
+  for (const std::string& name : *names) {
+    const std::string path = dir + "/" + name;
+    const auto bytes = from->ReadFile(path);
+    if (bytes.ok()) {
+      ASSERT_TRUE(to->WriteFile(path, *bytes).ok());
+    } else {
+      CopyTree(from, path, to);
+    }
+  }
+}
+
+// A live params override is a WAL boundary: recovery replays the WAL under
+// the params of the snapshot it starts from, so events that followed the
+// override must not sit in a WAL begun under the old params. A crash right
+// after them must recover the live correlator byte for byte. `mean` also
+// needs the override to void the cached means the live table compares.
+TEST(CrashRecovery, TenantParamsOverrideIsAWalBoundary) {
+  for (const char* text : {"aging-updates 7\n", "mean arithmetic\n"}) {
+    for (const uint32_t seed : {0x0Au, 0x0Du, 0x0Fu}) {
+      MemFs fs;
+      TenantRouterConfig config = BaseConfig(1);
+      config.store_options.wal_flush_bytes = 1;  // every record reaches the Fs
+      TenantRouter router(&fs, "/srv", config);
+      const std::vector<IngestEvent> trace = TenantTrace(seed, 1200);
+      const std::vector<IngestEvent> head(trace.begin(), trace.begin() + 600);
+      const std::vector<IngestEvent> tail(trace.begin() + 600, trace.end());
+
+      ApplySerial(router.SinkFor(1), head);
+      ASSERT_TRUE(router.CheckpointTenant(1).ok());
+      ASSERT_TRUE(router.SetTenantParams(1, text).ok());
+      ApplySerial(router.SinkFor(1), tail);
+      ASSERT_TRUE(router.last_error().ok()) << router.last_error().message();
+
+      MemFs crashed;
+      CopyTree(&fs, "/srv", &crashed);
+      ASSERT_FALSE(HasFatalFailure());
+      TenantRouter recovered(&crashed, "/srv", config);
+      const auto want = router.CorrelatorFor(1);
+      const auto got = recovered.CorrelatorFor(1);
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(got.ok()) << recovered.last_error().message();
+      EXPECT_EQ((*want)->EncodeSnapshot(), (*got)->EncodeSnapshot())
+          << "override=" << text << " seed=" << seed;
+    }
+  }
+}
+
 TEST(TenantRouter, SinkAddressStableAcrossEviction) {
   MemFs fs;
   TenantRouter router(&fs, "/srv", BaseConfig(2));
