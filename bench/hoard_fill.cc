@@ -5,13 +5,12 @@
 //                 std::set<PathId> selection, per-membership set lookups, a
 //                 full member walk per cluster per fill;
 //   * scratch   — the shipped plane with the aggregate cache disabled
-//                 (every fill re-walks all clusters, single thread);
+//                 (every fill re-walks all clusters);
 //   * incremental — the shipped plane warm, refilling after touching 1% of
 //                 the files (the daemon's steady state).
 //
-// Plus a thread sweep of cold scratch fills (1/2/4/8) and an allocation
-// count per warm fill. Every mode's selection is byte-compared against the
-// legacy baseline; "selection_identical" in the JSON is the determinism
+// Plus an allocation count per warm fill. Every mode's selection is
+// byte-compared against the legacy baseline; "selection_identical" in the JSON is the determinism
 // gate — a perf win that changes the selection is a bug, not a win.
 #include <algorithm>
 #include <atomic>
@@ -84,8 +83,7 @@ int Reps() { return bench::FullScale() ? 24 : 10; }
 // stat table — the filesystem's interface speaks strings, not ids. That
 // per-call cost (string materialisation + string hash) is exactly what the
 // fill plane's PathId-indexed size column caches away. Read-only during
-// fills, so pure and thread-safe per the SizeFn contract. ~64-576
-// bytes/file.
+// fills, so pure per the SizeFn contract. ~64-576 bytes/file.
 uint64_t RawSize(PathId p) {
   return 64 + (static_cast<uint64_t>(p) * 2654435761ull) % 512;
 }
@@ -284,9 +282,8 @@ void RunHoardFillBench() {
     legacy_sel = LegacyChooseHoard(*correlator, clusters, always, budget, SizeOf);
   });
 
-  // --- scratch: shipped plane, cache disabled, single thread ----------------
+  // --- scratch: shipped plane, cache disabled ------------------------------
   HoardManager scratch_mgr(budget);
-  scratch_mgr.set_threads(1);
   scratch_mgr.set_incremental_fill(false);
   HoardSelection scratch_sel;
   scratch_mgr.ChooseHoard(*correlator, clusters, always, SizeOf);  // warm scratch vectors
@@ -296,7 +293,6 @@ void RunHoardFillBench() {
 
   // --- incremental: warm cache, 1% of the files touched between fills ------
   HoardManager inc_mgr(budget);
-  inc_mgr.set_threads(1);
   inc_mgr.ChooseHoard(*correlator, clusters, always, SizeOf);  // prime the cache
   HoardSelection inc_sel;
   const FillCost incremental = MeasureFill(reps, [&](int rep) {
@@ -333,37 +329,9 @@ void RunHoardFillBench() {
   const LegacySelection legacy_now =
       LegacyChooseHoard(*correlator, clusters, always, budget, SizeOf);
   scratch_sel = scratch_mgr.ChooseHoard(*correlator, clusters, always, SizeOf);
-  bool identical = SameSelection(legacy_now, scratch_sel) &&
-                   SameSelection(legacy_now, inc_sel) &&
-                   scratch_sel.files == inc_sel.files;
-
-  // --- thread sweep: cold scratch fills/s -----------------------------------
-  constexpr int kMaxSweepThreads = 8;
-  struct SweepPoint {
-    int threads = 0;
-    double fills_per_sec = 0.0;
-  };
-  std::vector<SweepPoint> sweep;
-  for (const int threads : {1, 2, 4, kMaxSweepThreads}) {
-    HoardManager m(budget);
-    m.set_threads(threads);
-    m.ChooseHoard(*correlator, clusters, always, SizeOf);  // warm scratch vectors
-    double best_ns = 1e18;
-    HoardSelection got;
-    for (int rep = 0; rep < reps; ++rep) {
-      m.InvalidateFillCache();  // every rep is a cold, full re-walk
-      const auto start = std::chrono::steady_clock::now();
-      got = m.ChooseHoard(*correlator, clusters, always, SizeOf);
-      const auto stop = std::chrono::steady_clock::now();
-      best_ns = std::min(
-          best_ns,
-          static_cast<double>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count()));
-    }
-    identical = identical && got.files == inc_sel.files;
-    sweep.push_back({threads, best_ns > 0 ? 1e9 / best_ns : 0.0});
-  }
-  bench::WarnIfScalingInvalid("hoard_fill", kMaxSweepThreads);
+  const bool identical = SameSelection(legacy_now, scratch_sel) &&
+                         SameSelection(legacy_now, inc_sel) &&
+                         scratch_sel.files == inc_sel.files;
 
   // --- JSON ------------------------------------------------------------------
   const char* path = "BENCH_hoard.json";
@@ -375,7 +343,6 @@ void RunHoardFillBench() {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"hoard_fill\",\n");
   bench::WriteJsonMachineMeta(out);
-  bench::WriteJsonScalingValid(out, kMaxSweepThreads);
   std::fprintf(out, "  \"files\": %d,\n", n_files);
   std::fprintf(out, "  \"clusters\": %zu,\n", clusters.clusters.size());
   std::fprintf(out, "  \"budget_bytes\": %llu,\n",
@@ -395,13 +362,6 @@ void RunHoardFillBench() {
                incremental.fill_ns, incremental.allocs_per_fill);
   std::fprintf(out, "  \"incremental_vs_scratch\": %.4f,\n",
                scratch.fill_ns > 0 ? incremental_touched.fill_ns / scratch.fill_ns : 0.0);
-  std::fprintf(out, "  \"threads\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(out, "    {\"threads\": %d, \"fills_per_sec\": %.1f}%s\n",
-                 sweep[i].threads, sweep[i].fills_per_sec,
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"selection_identical\": %s\n", identical ? "true" : "false");
   std::fprintf(out, "}\n");
   std::fclose(out);
@@ -417,10 +377,7 @@ void RunHoardFillBench() {
               inc_stats.dirty_clusters, inc_stats.clusters);
   std::printf("  incremental/scratch ratio: %.3f\n",
               scratch.fill_ns > 0 ? incremental_touched.fill_ns / scratch.fill_ns : 0.0);
-  for (const SweepPoint& p : sweep) {
-    std::printf("  scratch threads=%d: %10.1f fills/sec\n", p.threads, p.fills_per_sec);
-  }
-  std::printf("  selection identical across all modes/threads: %s\n",
+  std::printf("  selection identical across all modes: %s\n",
               identical ? "yes" : "NO (BUG)");
 }
 

@@ -139,11 +139,6 @@ size_t AsyncCorrelator::KnownFiles() {
   return Query([](const Correlator& c) { return c.files().size(); });
 }
 
-void AsyncCorrelator::SetClusterThreads(int threads) {
-  std::lock_guard<std::mutex> lock(correlator_mutex_);
-  correlator_.SetClusterThreads(threads);
-}
-
 ClusterBuildStats AsyncCorrelator::LastClusterStats() {
   return Query([](const Correlator& c) { return c.last_cluster_stats(); });
 }

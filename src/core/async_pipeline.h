@@ -72,9 +72,6 @@ class AsyncCorrelator : public ReferenceSink {
   ClusterSet BuildClusters();
   double Distance(const std::string& from, const std::string& to);
   size_t KnownFiles();
-
-  // Cluster-engine controls, applied under the pipeline lock.
-  void SetClusterThreads(int threads);
   ClusterBuildStats LastClusterStats();
 
   // Statistics.

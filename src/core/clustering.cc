@@ -1,34 +1,18 @@
 #include "src/core/clustering.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <functional>
 #include <set>
 #include <string_view>
 
 #include "src/util/dsu.h"
 #include "src/util/path.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 
 namespace {
 
 constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
-
-// Task granularity for the parallel phases. Chunks are coarse and
-// thread-proportional — a few contiguous ranges per worker — rather than a
-// fixed small size: candidate slots ascend by FileId, so a contiguous
-// range covers whole 256-file relation stripes and each worker walks slab
-// rows it recently touched instead of interleaving cache lines with its
-// peers. kChunksPerThread > 1 keeps dynamic balancing across skewed
-// neighbor lists; kMinChunk bounds the claim-counter traffic; work below
-// kSerialCutoff items skips the pool dispatch entirely (at small N the
-// wake/join round-trip used to cost more than the scoring itself).
-constexpr size_t kChunksPerThread = 4;
-constexpr size_t kMinChunk = 64;
-constexpr size_t kSerialCutoff = 2048;
 
 // Number of non-empty '/'-separated segments, as SplitPath counts them.
 size_t CountComponents(std::string_view path) {
@@ -94,8 +78,6 @@ ClusterBuilder::ClusterBuilder(const SeerParams& params, const FileTable* files,
       // PairKey packs lo < hi, so all-ones can never be a real key.
       investigated_(static_cast<uint64_t>(-1)) {}
 
-ClusterBuilder::~ClusterBuilder() = default;
-
 uint64_t ClusterBuilder::PairKey(FileId a, FileId b) const {
   const FileId lo = std::min(a, b);
   const FileId hi = std::max(a, b);
@@ -126,37 +108,6 @@ void ClusterBuilder::ClearInvestigatedPairs() {
 double ClusterBuilder::InvestigatedStrength(FileId a, FileId b) const {
   const double* strength = investigated_.Find(PairKey(a, b));
   return strength == nullptr ? 0.0 : *strength;
-}
-
-void ClusterBuilder::set_threads(int threads) {
-  threads_ = threads;
-  const int want = threads_ > 0 ? threads_ : DefaultThreadCount();
-  if (pool_ != nullptr && pool_threads_ != want) {
-    pool_.reset();
-  }
-}
-
-int ClusterBuilder::threads() const {
-  return threads_ > 0 ? threads_ : DefaultThreadCount();
-}
-
-void ClusterBuilder::set_shared_pool(ThreadPool* pool) {
-  shared_pool_ = pool;
-  if (pool != nullptr) {
-    pool_.reset();
-  }
-}
-
-ThreadPool* ClusterBuilder::Pool() const {
-  if (shared_pool_ != nullptr) {
-    return shared_pool_;
-  }
-  const int want = threads_ > 0 ? threads_ : DefaultThreadCount();
-  if (pool_ == nullptr || pool_threads_ != want) {
-    pool_ = std::make_unique<ThreadPool>(want);
-    pool_threads_ = want;
-  }
-  return pool_.get();
 }
 
 double ClusterBuilder::AdjustedSharedCount(FileId from, FileId to) const {
@@ -328,32 +279,6 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
         .count();
   };
 
-  ThreadPool* pool = Pool();
-  stats_.threads = pool->threads();
-
-  // Shared dispatcher for the parallel phases: runs body(lo, hi) over
-  // [0, items), inline when the pool is serial or the work is under the
-  // adaptive cutoff, otherwise in coarse contiguous ranges (see the
-  // granularity constants above). Every body is a pure per-item function
-  // with disjoint writes, so the split cannot affect results.
-  const auto RunRanges = [&](size_t items, const std::function<void(size_t, size_t)>& body) {
-    const size_t workers = static_cast<size_t>(pool->threads());
-    const size_t chunks =
-        std::min(workers * kChunksPerThread, (items + kMinChunk - 1) / kMinChunk);
-    if (workers <= 1 || items <= kSerialCutoff || chunks <= 1) {
-      body(0, items);
-      return;
-    }
-    const size_t per = (items + chunks - 1) / chunks;
-    pool->ParallelChunks(chunks, [&](size_t c) {
-      const size_t lo = c * per;
-      const size_t hi = std::min(items, lo + per);
-      if (lo < hi) {
-        body(lo, hi);
-      }
-    });
-  };
-
   // 1. Slot the candidates.
   auto mark = std::chrono::steady_clock::now();
   BuildState state;
@@ -366,53 +291,37 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
     state.slot_of[candidates[i]] = static_cast<uint32_t>(i);
   }
 
-  // 2. Refresh their inputs, in parallel: writes are disjoint per slot and
-  // each result is a pure per-file function, so order (and thread count)
-  // cannot matter. The first pass sizes each slot's slices, the second
-  // splits the paths into the directory slices.
+  // 2. Refresh their inputs. The first pass sizes each slot's slices, the
+  // second splits the paths into the directory slices.
   state.row_stride = static_cast<size_t>(relations_->max_neighbors());
   state.rows.resize(n * state.row_stride);
   state.row_size.resize(n);
   state.path.resize(n);
   state.dir_begin.assign(n + 1, 0);
   state.edge_begin.assign(n + 1, 0);
-  RunRanges(n, [&](size_t lo, size_t hi) {
-    ScoreScratch scratch;
-    for (size_t i = lo; i < hi; ++i) {
-      RefreshInputs(static_cast<uint32_t>(i), candidates[i], &state, &scratch);
-    }
-  });
+  ScoreScratch scratch;
+  for (size_t i = 0; i < n; ++i) {
+    RefreshInputs(static_cast<uint32_t>(i), candidates[i], &state, &scratch);
+  }
   for (size_t i = 0; i < n; ++i) {
     state.dir_begin[i + 1] += state.dir_begin[i];
     state.edge_begin[i + 1] += state.edge_begin[i];
   }
   state.dirs.resize(state.dir_begin[n]);
-  RunRanges(n, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      SplitDirs(state.path[i], state.dir_begin[i + 1] - state.dir_begin[i],
-                state.dirs.data() + state.dir_begin[i]);
-    }
-  });
+  for (size_t i = 0; i < n; ++i) {
+    SplitDirs(state.path[i], state.dir_begin[i + 1] - state.dir_begin[i],
+              state.dirs.data() + state.dir_begin[i]);
+  }
   stats_.pack_ms = MsSince(mark);
 
-  // 3. Score every edge, in parallel. Buckets are disjoint per slot, all
-  // other state is read-only, and the bucket content is a pure function of
-  // the inputs — so the merge below is order-independent and the output is
-  // identical at any thread count.
+  // 3. Score every edge into its slot's bucket.
   mark = std::chrono::steady_clock::now();
   state.edges.resize(state.edge_begin[n]);
   state.edge_count.resize(n);
   state.near_count.resize(n);
-  std::atomic<size_t> edges_scored{0};
-  RunRanges(n, [&](size_t lo, size_t hi) {
-    ScoreScratch scratch;
-    size_t local = 0;
-    for (size_t i = lo; i < hi; ++i) {
-      ScoreSlot(static_cast<uint32_t>(i), candidates[i], &state, &scratch, &local);
-    }
-    edges_scored.fetch_add(local, std::memory_order_relaxed);
-  });
-  stats_.edges_scored = edges_scored.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < n; ++i) {
+    ScoreSlot(static_cast<uint32_t>(i), candidates[i], &state, &scratch, &stats_.edges_scored);
+  }
   stats_.score_ms = MsSince(mark);
   mark = std::chrono::steady_clock::now();
 
@@ -461,22 +370,12 @@ ClusterSet ClusterBuilder::Build(const std::vector<FileId>& candidates) const {
     }
   }
 
-  // Sort/dedup the touched clusters' members in parallel (clusters are
-  // disjoint vectors; sorting is per-cluster pure, so order cannot matter).
-  std::vector<uint32_t> touched_list;
   for (uint32_t c = 0; c < cluster_touched.size(); ++c) {
     if (cluster_touched[c]) {
-      touched_list.push_back(c);
+      std::vector<FileId>& m = members[c];
+      std::sort(m.begin(), m.end());
+      m.erase(std::unique(m.begin(), m.end()), m.end());
     }
-  }
-  if (!touched_list.empty()) {
-    RunRanges(touched_list.size(), [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        std::vector<FileId>& m = members[touched_list[i]];
-        std::sort(m.begin(), m.end());
-        m.erase(std::unique(m.begin(), m.end()), m.end());
-      }
-    });
   }
 
   // 6. Emit. Identical clusters can only arise from far overlap (phase-one

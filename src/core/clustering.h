@@ -19,18 +19,14 @@
 //     ever stored, so a sufficiently strong investigator can force files
 //     into one project.
 //
-// Engine shape (see DESIGN.md §10): every Build is one pass computed from
-// the learned state, keeping nothing from the build before. Edge *scoring*
-// — the expensive phase — is a pure function of fixed neighbor sets, so it
-// runs in parallel over candidate files on a chunked thread pool, writing
-// each file's scored edges into a per-file bucket. The *union* phase then
-// walks the buckets in candidate order on one thread, so the output is
-// bit-identical at any thread count.
+// Engine shape (see DESIGN.md §10): every Build is one serial pass
+// computed from the learned state, keeping nothing from the build before.
+// Edge *scoring* writes each candidate's scored edges into a per-file
+// bucket; the *union* phase then walks the buckets in candidate order.
 #ifndef SRC_CORE_CLUSTERING_H_
 #define SRC_CORE_CLUSTERING_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/core/file_table.h"
@@ -39,8 +35,6 @@
 #include "src/util/flat_map.h"
 
 namespace seer {
-
-class ThreadPool;
 
 struct Cluster {
   std::vector<FileId> members;  // sorted, unique
@@ -88,12 +82,11 @@ struct ClusterBuildStats {
   size_t candidates = 0;
   size_t edges_scored = 0;   // adjusted-count evaluations performed
   bool incremental = false;  // always false: every build is a full pass
-  int threads = 1;
   double build_ms = 0.0;
   // Phase split of build_ms, for the perf harness.
   double pack_ms = 0.0;   // candidate slotting and input refresh
   double plan_ms = 0.0;   // always 0: a build has nothing to plan
-  double score_ms = 0.0;  // parallel edge scoring
+  double score_ms = 0.0;  // edge scoring
   double merge_ms = 0.0;  // union + materialise + emit
 };
 
@@ -101,7 +94,6 @@ class ClusterBuilder {
  public:
   ClusterBuilder(const SeerParams& params, const FileTable* files,
                  const RelationTable* relations);
-  ~ClusterBuilder();
 
   // Registers investigator evidence for an unordered pair; strengths from
   // multiple investigators accumulate (Section 3.3.3).
@@ -119,16 +111,6 @@ class ClusterBuilder {
   // Reference implementation; Build uses an allocation-free equivalent.
   double AdjustedSharedCount(FileId from, FileId to) const;
 
-  // Scoring-phase thread count; 0 (the default) selects DefaultThreadCount()
-  // (the SEER_THREADS override, else hardware concurrency).
-  void set_threads(int threads);
-  int threads() const;
-
-  // Score on a caller-owned pool instead of a private one (multi-tenant
-  // pool multiplexing; see Correlator::UseSharedPool). nullptr restores
-  // the private pool.
-  void set_shared_pool(ThreadPool* pool);
-
   // Live-tuning override: new near/far thresholds and weights take effect
   // on the next Build.
   void OverrideParams(const SeerParams& params) { params_ = params; }
@@ -137,11 +119,10 @@ class ClusterBuilder {
 
  private:
   struct BuildState;    // one build's inputs and scored edges (defined in the .cc)
-  struct ScoreScratch;  // per-chunk scoring buffers (defined in the .cc)
+  struct ScoreScratch;  // scoring buffers reused across slots (defined in the .cc)
 
   uint64_t PairKey(FileId a, FileId b) const;
   double InvestigatedStrength(FileId a, FileId b) const;
-  ThreadPool* Pool() const;
   // Fills one candidate's scoring inputs — its sorted live-neighbor row and
   // its interner path view — and the sizes of its directory and edge
   // slices.
@@ -157,11 +138,7 @@ class ClusterBuilder {
   FlatMap<uint64_t, double> investigated_;
   // Per-file investigated partners (both directions), in insertion order.
   std::vector<std::vector<FileId>> inv_partners_;
-  int threads_ = 0;
-  ThreadPool* shared_pool_ = nullptr;  // not owned; overrides pool_
 
-  mutable std::unique_ptr<ThreadPool> pool_;
-  mutable int pool_threads_ = 0;
   mutable ClusterBuildStats stats_;
 };
 

@@ -24,8 +24,9 @@
 //    deleted file cut segments, so liveness is frozen while a segment is
 //    measured and the fold sees exactly what per-event ingest would.
 //
-// The correlator's parallel phases are cluster scoring (UseSharedPool) and
-// snapshot chain decode; DESIGN.md §11 records why ingest is not one.
+// Cluster builds are serial too. The correlator's one parallel phase is
+// snapshot chain decode, on a pool the caller passes in; DESIGN.md §11
+// records why ingest is not one.
 #ifndef SRC_CORE_CORRELATOR_H_
 #define SRC_CORE_CORRELATOR_H_
 
@@ -43,7 +44,6 @@
 #include "src/core/snapshot_codec.h"
 #include "src/observer/reference.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 
@@ -103,13 +103,9 @@ class Correlator : public ReferenceSink {
   // through the sink methods one at a time.
   void IngestBatch(const IngestEvent* events, size_t count);
 
-  // Run cluster scoring on a caller-owned pool instead of a private one.
-  // The multi-tenant router multiplexes one pool across every resident
-  // tenant this way; per-tenant worker threads would not scale. nullptr
-  // restores the private pool. Results are unchanged either way — cluster
-  // builds are bit-identical at any thread count, and contended dispatches
-  // fall back to inline execution (see ThreadPool).
-  void UseSharedPool(ThreadPool* pool) { clusters_.set_shared_pool(pool); }
+  // No-op: cluster builds are serial. Only e2ebench/ still calls it; it
+  // goes with that benchmark's next change.
+  void UseSharedPool(ThreadPool* /*pool*/) {}
 
   const IngestStats& ingest_stats() const { return ingest_stats_; }
 
@@ -128,11 +124,6 @@ class Correlator : public ReferenceSink {
 
   // Groups all live files into (possibly overlapping) projects.
   ClusterSet BuildClusters() const;
-
-  // Scoring-phase thread count for cluster builds; 0 restores the default
-  // (SEER_THREADS / hardware concurrency).
-  void SetClusterThreads(int threads) { clusters_.set_threads(threads); }
-  int cluster_threads() const { return clusters_.threads(); }
 
   // What the most recent BuildClusters actually did.
   const ClusterBuildStats& last_cluster_stats() const {

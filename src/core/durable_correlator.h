@@ -17,9 +17,10 @@
 //   BeginCheckpoint()   flush + sync the outgoing WAL, seal an owning copy
 //                       of the correlator state (SealSnapshot), rotate to
 //                       the new generation's WAL, then hand the sealed copy
-//                       to a background thread that encodes it (parallel
-//                       sharded sections), writes it atomically, and prunes.
-//                       Ingest resumes the moment this returns.
+//                       to a background thread that encodes it (its stripe
+//                       sections in parallel on the pool Open was given,
+//                       serially without one), writes it atomically, and
+//                       prunes. Ingest resumes the moment this returns.
 //   CheckpointDone()    true once the background work has finished.
 //   FinishCheckpoint()  join + harvest: commit the delta cut epochs, record
 //                       CheckpointStats, trim the stream removal log. On
@@ -27,7 +28,8 @@
 //   Checkpoint()        the synchronous composition of the three — same
 //                       Fs-op sequence from the calling thread, so
 //                       fault-injection op counting stays deterministic
-//                       (pool threads never touch the Fs).
+//                       (pool threads never touch the Fs). With no pool it
+//                       starts no thread at all.
 //
 // Every full_checkpoint_every-th snapshot is full; the ones between are
 // deltas carrying only the relation stripes and streams dirtied since the
@@ -53,7 +55,6 @@
 #include "src/core/wal.h"
 #include "src/util/fs.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 
@@ -69,13 +70,13 @@ class DurableCorrelator : public ReferenceSink {
   };
 
   // Recovers (or starts fresh) and checkpoints the recovered state as a
-  // new generation. `shared_pool`, when given, runs the recovery decode,
-  // the genesis checkpoint encode, and (via UseSharedPool) all later
-  // parallel phases — the multi-tenant router opens thousands of these
-  // against one pool.
+  // new generation. `pool`, when given, runs the recovery decode and every
+  // checkpoint encode for this object's life (not owned; it must outlive
+  // this object) — the multi-tenant router opens thousands of these
+  // against its one pool. nullptr decodes and encodes serially.
   static StatusOr<std::unique_ptr<DurableCorrelator>> Open(
       Fs* fs, std::string dir, const SeerParams& defaults = {},
-      SnapshotStoreOptions options = {}, ThreadPool* shared_pool = nullptr);
+      SnapshotStoreOptions options = {}, ThreadPool* pool = nullptr);
 
   // Joins any in-flight checkpoint (its result is discarded unharvested;
   // the snapshot it wrote — if it got that far — is still on disk).
@@ -92,11 +93,6 @@ class DurableCorrelator : public ReferenceSink {
   Correlator& correlator() { return *correlator_; }
   const Correlator& correlator() const { return *correlator_; }
   SnapshotStore& store() { return store_; }
-
-  // Encode snapshots (and, forwarded to the correlator, score clusters)
-  // on a caller-owned pool. Must not be called while a checkpoint is in
-  // flight. nullptr restores private pools.
-  void UseSharedPool(ThreadPool* pool);
 
   // Snapshot the current state as the next generation and rotate the WAL,
   // synchronously (seal + encode + write + prune before returning).
@@ -155,11 +151,9 @@ class DurableCorrelator : public ReferenceSink {
   OpenStats open_stats_;
 
   // --- checkpoint plane -------------------------------------------------
-  // Owned lazily; encodes sealed sections in parallel. Pool workers only
-  // touch memory, never the Fs.
-  std::unique_ptr<ThreadPool> encode_pool_;
-  ThreadPool* shared_pool_ = nullptr;  // not owned; overrides encode_pool_
-  ThreadPool* EncodePool();
+  // Encodes sealed stripe sections in parallel when set (not owned). Pool
+  // workers only touch memory, never the Fs.
+  ThreadPool* pool_ = nullptr;
   std::thread inflight_thread_;
   bool inflight_active_ = false;           // main-thread view: join pending
   std::atomic<bool> inflight_done_{false};  // set by the background job

@@ -3,19 +3,9 @@
 #include <algorithm>
 #include <chrono>
 
-#include "src/util/thread_pool.h"
-
 namespace seer {
 
 namespace {
-
-// Parallel-fill granularity. Same shape as the clustering plane: several
-// chunks per worker for dynamic balance, a floor per chunk to bound
-// claim-counter traffic, and a serial cutoff below which pool dispatch
-// costs more than the work (typical single-tenant fills stay serial).
-constexpr size_t kChunksPerThread = 4;
-constexpr size_t kMinChunk = 64;
-constexpr size_t kSerialCutoff = 512;
 
 double MsSince(std::chrono::steady_clock::time_point mark) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - mark)
@@ -40,37 +30,6 @@ std::vector<std::string> HoardSelection::PathStrings() const {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-HoardManager::~HoardManager() = default;
-
-void HoardManager::set_threads(int threads) {
-  threads_ = threads;
-  const int want = threads_ > 0 ? threads_ : DefaultThreadCount();
-  if (pool_ != nullptr && pool_threads_ != want) {
-    pool_.reset();
-  }
-}
-
-int HoardManager::threads() const { return threads_ > 0 ? threads_ : DefaultThreadCount(); }
-
-void HoardManager::set_shared_pool(ThreadPool* pool) {
-  shared_pool_ = pool;
-  if (pool != nullptr) {
-    pool_.reset();
-  }
-}
-
-ThreadPool* HoardManager::Pool() const {
-  if (shared_pool_ != nullptr) {
-    return shared_pool_;
-  }
-  const int want = threads_ > 0 ? threads_ : DefaultThreadCount();
-  if (pool_ == nullptr || pool_threads_ != want) {
-    pool_ = std::make_unique<ThreadPool>(want);
-    pool_threads_ = want;
-  }
-  return pool_.get();
 }
 
 HoardSelection HoardManager::ChooseHoard(const Correlator& correlator,
@@ -156,65 +115,31 @@ HoardSelection HoardManager::ChooseHoard(const Correlator& correlator,
     size_col_.resize(GlobalPaths().size(), 0);
   }
 
-  // Shared dispatcher for the two parallel phases: runs body(lo, hi) over
-  // [0, items), inline when serial or under the cutoff. Every body writes
-  // disjoint slots of a pre-sized array and reads only immutable state, so
-  // the split (and thread count) cannot affect the result — the merge below
-  // is sequential and deterministic.
-  ThreadPool* pool = nullptr;
-  const auto run_ranges = [&](size_t items, const std::function<void(size_t, size_t)>& body) {
-    const size_t workers = static_cast<size_t>(threads());
-    const size_t chunks =
-        std::min(workers * kChunksPerThread, (items + kMinChunk - 1) / kMinChunk);
-    if (workers <= 1 || items <= kSerialCutoff || chunks <= 1) {
-      body(0, items);
-      return;
-    }
-    if (pool == nullptr) {
-      pool = Pool();
-    }
-    const size_t per = (items + chunks - 1) / chunks;
-    pool->ParallelChunks(chunks, [&](size_t c) {
-      const size_t lo = c * per;
-      const size_t hi = std::min(items, lo + per);
-      if (lo < hi) {
-        body(lo, hi);
-      }
-    });
-  };
+  for (const FileId f : resolve_) {
+    const PathId path = files.Get(f).path;
+    size_col_[path] = size_of(path);
+  }
 
-  run_ranges(resolve_.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const PathId path = files.Get(resolve_[i]).path;
-      size_col_[path] = size_of(path);
-    }
-  });
-
-  // --- recompute dirty aggregates in parallel -------------------------------
-  // Each dirty cluster is summarised by exactly one chunk; priority is a
-  // max and live_bytes a sum over that cluster's members, both order-free.
-  run_ranges(dirty_.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const uint32_t c = dirty_[i];
-      const std::vector<FileId>& members = clusters.clusters[c].members;
-      ClusterAggregate agg;
-      agg.rep = members.empty() ? kInvalidFileId : members[0];
-      agg.member_hash = have_hash ? clusters.member_hash[c] : 0;
-      for (const FileId id : members) {
-        const FileRecord& rec = files.Get(id);
-        agg.priority = std::max(agg.priority, rec.last_ref_seq);
-        if (!rec.deleted && rec.path != kInvalidPathId) {
-          agg.live_bytes += size_col_[rec.path];
-          ++agg.live_count;
-        }
+  // --- recompute dirty aggregates -------------------------------------------
+  for (const uint32_t c : dirty_) {
+    const std::vector<FileId>& members = clusters.clusters[c].members;
+    ClusterAggregate agg;
+    agg.rep = members.empty() ? kInvalidFileId : members[0];
+    agg.member_hash = have_hash ? clusters.member_hash[c] : 0;
+    for (const FileId id : members) {
+      const FileRecord& rec = files.Get(id);
+      agg.priority = std::max(agg.priority, rec.last_ref_seq);
+      if (!rec.deleted && rec.path != kInvalidPathId) {
+        agg.live_bytes += size_col_[rec.path];
+        ++agg.live_count;
       }
-      agg_scratch_[c] = agg;
     }
-  });
+    agg_scratch_[c] = agg;
+  }
   fill_stats_.agg_ms = MsSince(mark);
   mark = std::chrono::steady_clock::now();
 
-  // --- rank: sequential deterministic merge ---------------------------------
+  // --- rank -----------------------------------------------------------------
   // A project is as recent as its most recently referenced member; ties
   // break on cluster index, giving a total order (the scratch and
   // incremental paths rank the identical aggregate table, so they cannot
@@ -373,7 +298,6 @@ HoardSelection HoardManager::ChooseHoard(const Correlator& correlator,
   cache_source_ = static_cast<const void*>(&correlator);
   fill_cache_valid_ = have_hash;
 
-  fill_stats_.threads = threads();
   fill_stats_.fill_ms = MsSince(start);
   return sel;
 }

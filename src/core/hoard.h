@@ -17,10 +17,8 @@
 // (priority, live bytes, live count) per cluster, keyed by the cluster's
 // representative member and membership hash, and invalidated by the file
 // table's touch epoch. A refill after touching 1% of the files recomputes
-// ~1% of the aggregates; everything else is an O(1) cache hit. Dirty
-// aggregates are recomputed in parallel on a ThreadPool with a sequential
-// deterministic merge, so the selection is bit-identical at any thread
-// count — the same determinism recipe the clustering plane uses.
+// ~1% of the aggregates; everything else is an O(1) cache hit. A fill is
+// one serial pass.
 //
 // MissLog implements the two miss-tracking paths of Section 4.4: the manual
 // reporting program (with the 0-4 severity scale) and the automatic
@@ -29,7 +27,6 @@
 #define SRC_CORE_HOARD_H_
 
 #include <functional>
-#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -57,8 +54,8 @@ struct HoardSelection {
   // Chosen paths in deterministic emission order: always-hoard (ascending),
   // pins (ascending), then ranked clusters with members in ascending id
   // order (most-recent-first within a cluster in partial-fill mode). The
-  // order is identical for scratch and incremental fills at any thread
-  // count, so byte-comparing two selections is a valid equivalence check.
+  // order is identical for scratch and incremental fills, so
+  // byte-comparing two selections is a valid equivalence check.
   std::vector<PathId> files;
   // The same ids sorted ascending — the membership index behind Contains().
   std::vector<PathId> sorted_ids;
@@ -87,7 +84,6 @@ struct HoardFillStats {
   size_t touched_files = 0;      // files moved since the cached epoch
   size_t sizes_resolved = 0;     // size_of calls made this fill
   bool incremental = false;      // cached aggregates were usable
-  int threads = 1;
   double fill_ms = 0.0;
   // Phase split of fill_ms, mirroring ClusterBuildStats.
   double agg_ms = 0.0;     // size column refresh + aggregate recompute
@@ -98,15 +94,13 @@ struct HoardFillStats {
 class HoardManager {
  public:
   // Per-file size oracle. Must be pure for a given fill (same path -> same
-  // size) and thread-safe: sizes are resolved in parallel and cached in a
-  // PathId-indexed column that is refreshed only for files the file table
-  // reports touched — a size change must be accompanied by a file-table
-  // event (reference, delete, rename), which is how every ingest path
-  // already behaves.
+  // size): sizes are cached in a PathId-indexed column that is refreshed
+  // only for files the file table reports touched — a size change must be
+  // accompanied by a file-table event (reference, delete, rename), which is
+  // how every ingest path already behaves.
   using SizeFn = std::function<uint64_t(PathId path)>;
 
   explicit HoardManager(uint64_t budget_bytes) : budget_bytes_(budget_bytes) {}
-  ~HoardManager();
 
   void set_budget_bytes(uint64_t bytes) { budget_bytes_ = bytes; }
   uint64_t budget_bytes() const { return budget_bytes_; }
@@ -137,16 +131,10 @@ class HoardManager {
   }
   const std::set<PathId>& pinned() const { return pinned_; }
 
-  // Aggregate-recompute thread count; 0 (the default) selects
-  // DefaultThreadCount() (the SEER_THREADS override, else hardware
-  // concurrency). Below the serial cutoff the fill never touches a pool.
-  void set_threads(int threads);
-  int threads() const;
-
-  // Recompute aggregates on a caller-owned pool instead of a private one
-  // (multi-tenant pool multiplexing, same idiom as
-  // Correlator::UseSharedPool). nullptr restores the private pool.
-  void set_shared_pool(ThreadPool* pool);
+  // No-ops: a fill is one serial pass. Only e2ebench/ still calls them;
+  // they go with its next change.
+  void set_threads(int /*threads*/) {}
+  void set_shared_pool(ThreadPool* /*pool*/) {}
 
   // Incremental fills are on by default; turning them off forces every
   // ChooseHoard to re-walk all clusters (the benches' scratch baseline).
@@ -177,18 +165,11 @@ class HoardManager {
     uint64_t member_hash = 0;
   };
 
-  ThreadPool* Pool() const;
-
   uint64_t budget_bytes_;
   uint64_t reserved_bytes_ = 0;
   std::set<PathId> pinned_;
   bool allow_partial_ = false;
   bool incremental_fill_ = true;
-
-  int threads_ = 0;
-  ThreadPool* shared_pool_ = nullptr;  // not owned; overrides pool_
-  mutable std::unique_ptr<ThreadPool> pool_;
-  mutable int pool_threads_ = 0;
 
   // --- fill cache (valid between fills) ------------------------------------
   mutable std::vector<ClusterAggregate> agg_cache_;    // last fill's table

@@ -15,6 +15,7 @@
 #include "src/core/correlator.h"
 #include "src/core/params_io.h"
 #include "src/util/bytes.h"
+#include "src/util/thread_pool.h"
 
 namespace seer {
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "src/core/snapshot_codec.h"
-#include "src/util/thread_pool.h"
 
 namespace seer {
 
@@ -170,14 +169,9 @@ StatusOr<SnapshotStore::RecoveryResult> SnapshotStore::Recover(const SeerParams&
 
   // Newest head whose chain (nearest full + deltas) folds cleanly wins;
   // heads with torn or mislinked files are skipped. The chain decode runs
-  // relation stripes in parallel; pool workers never touch the Fs, so the
-  // fault-injection op ordering stays deterministic.
+  // relation stripes in parallel on `pool`, if given; pool workers never
+  // touch the Fs, so the fault-injection op ordering stays deterministic.
   if (!snapshots.empty()) {
-    std::unique_ptr<ThreadPool> own_pool;
-    if (pool == nullptr) {
-      own_pool = std::make_unique<ThreadPool>();
-      pool = own_pool.get();
-    }
     for (size_t h = snapshots.size(); h-- > 0;) {
       std::vector<std::string> chain_bytes;
       if (!LoadChain(snapshots, h, &chain_bytes).ok()) {

@@ -97,9 +97,8 @@ class SnapshotStore {
   };
   // Never writes; safe to call on a store another process produced.
   // `defaults` seeds the correlator when the store is empty. `pool`, when
-  // given, runs the chain decode; otherwise a transient pool is created
-  // (the multi-tenant router restores thousands of stores and cannot
-  // afford a pool per call).
+  // given, decodes the chain's relation stripes in parallel; nullptr
+  // decodes them serially.
   StatusOr<RecoveryResult> Recover(const SeerParams& defaults = {},
                                    ThreadPool* pool = nullptr) const;
 

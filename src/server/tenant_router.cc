@@ -154,9 +154,6 @@ Status TenantRouter::Restore(Tenant* t) {
   if (overridden) {
     t->durable->correlator().OverrideTuningParams(effective);
   }
-  // Hoard fills multiplex onto the router's pool (a pool per tenant would
-  // oversubscribe the host, same reasoning as the clustering plane).
-  t->manager.set_shared_pool(&pool_);
   // The router's scheduler owns checkpoint cadence, so the daemon gets no
   // durable handle: its job here is purely the refill recipe.
   HoardDaemonConfig daemon_config;

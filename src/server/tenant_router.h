@@ -12,10 +12,11 @@
 //     router resolves every callback to the tenant's DurableCorrelator,
 //     creating the tenant on first reference and transparently restoring
 //     it if it was evicted.
-//   * One shared ThreadPool runs every tenant's cluster scoring, hoard
-//     fill, recovery decode, and snapshot encode. Pools are
-//     never created per tenant; contended dispatches fall back to inline
-//     execution (see ThreadPool), so results are unchanged.
+//   * One shared ThreadPool, the only one src/ makes, runs every
+//     tenant's snapshot stripe encode (checkpoints) and stripe decode
+//     (restores). Pools are never created per tenant; contended dispatches
+//     fall back to inline execution (see ThreadPool), so results are
+//     unchanged. Cluster builds and hoard fills are serial.
 //   * Tick(now) drives the control plane: harvest finished background
 //     checkpoints, start due ones under a max_checkpoints_inflight
 //     budget (per-tenant due times staggered across the interval so the
@@ -99,8 +100,8 @@ struct TenantRouterConfig {
   SeerParams defaults;
   SnapshotStoreOptions store_options;
 
-  // Shared worker pool size; 0 selects DefaultThreadCount() (SEER_THREADS
-  // else hardware concurrency).
+  // Shared worker pool size (stripe encode and decode); 0 selects
+  // DefaultThreadCount() (SEER_THREADS else hardware concurrency).
   int threads = 0;
 
   // --- residency budget --------------------------------------------------
@@ -292,7 +293,6 @@ class TenantRouter {
   // cannot return Status). Ok when healthy.
   const Status& last_error() const { return last_error_; }
 
-  ThreadPool* pool() { return &pool_; }
   const std::string& root() const { return root_; }
 
  private:
@@ -370,6 +370,8 @@ class TenantRouter {
   std::string root_;
   TenantRouterConfig config_;
   std::function<void()> wake_;  // may be empty
+  // Every tenant's stripe encode and decode. Declared before tenants_, so
+  // it outlives the checkpoint threads their destructors join.
   ThreadPool pool_;
   std::map<TenantId, Tenant> tenants_;  // ordered: ListTenants is sorted
   std::atomic<uint64_t> touch_seq_{0};

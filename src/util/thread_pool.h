@@ -1,11 +1,13 @@
 // A small chunked-parallel-for thread pool.
 //
-// SEER's batch phases (cluster scoring, CSR packing) are embarrassingly
-// parallel over files once the relation lists are fixed, so the only
-// primitive needed is a blocking parallel-for with dynamic load balancing:
-// callers split their work into chunks, workers claim chunks from a shared
-// atomic counter (cheap work stealing), and ParallelChunks returns when
-// every chunk has run. The calling thread participates, so a pool built
+// Its one use is snapshot stripe encode and decode: each 256-file relation
+// stripe is framed or parsed independently, so the only primitive needed
+// is a blocking parallel-for with dynamic load balancing: callers split
+// their work into chunks, workers claim chunks from a shared atomic
+// counter (cheap work stealing), and ParallelChunks returns when every
+// chunk has run. In src/ only the tenant router makes a pool, and it lends
+// it to every tenant's checkpoint and restore; everything that takes a
+// ThreadPool* runs serially on nullptr. The calling thread participates, so a pool built
 // with threads == 1 spawns no workers at all and runs strictly inline —
 // the serial and parallel code paths are the same code.
 //
@@ -15,9 +17,9 @@
 // inside any chunk, whether it ran on a worker or on the dispatching
 // thread itself — degrades to running its chunks inline on the calling
 // thread. Inline execution is the same code as the serial path, so
-// sharing one pool across subsystems (the multi-tenant router multiplexes
-// ingest, cluster scoring, and checkpoint encode over a single pool) never
-// deadlocks and never changes results, only the degree of parallelism.
+// sharing one pool (the multi-tenant router runs every tenant's encode and
+// decode on it, from several threads at once) never deadlocks and never
+// changes results, only the degree of parallelism.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
 

@@ -1,7 +1,8 @@
 // Tests for the stall-free checkpoint plane: sectioned v2 framing and its
 // META header, thread-count-invariant parallel encode, delta
-// chain recovery byte-equality against the serial full path, async
-// begin/finish checkpointing, and per-section damage diagnosis.
+// chain recovery byte-equality against the serial full path, a durable
+// correlator without a pool starting no threads, async begin/finish
+// checkpointing, and per-section damage diagnosis.
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -194,6 +195,42 @@ TEST(CheckpointPlane, ChainPlusWalTailRecoversEverything) {
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_GT(recovered->wal_records_replayed, 0u);
   EXPECT_EQ(recovered->correlator->EncodeSnapshot(), live);
+}
+
+// Threads of this process, counted in /proc/self/task; -1 where that
+// directory cannot be read.
+int ProcessThreads() {
+  std::error_code ec;
+  int count = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end; !ec && it != end;
+       it.increment(ec)) {
+    ++count;
+  }
+  return ec ? -1 : count;
+}
+
+// A durable correlator opened without a pool starts no thread: recovery
+// decode, cluster builds and synchronous checkpoint encodes all run on the
+// calling thread.
+TEST(CheckpointPlane, StandaloneDurableStartsNoThreads) {
+  const int before = ProcessThreads();
+  if (before < 0) {
+    GTEST_SKIP() << "cannot count threads: /proc/self/task is unreadable";
+  }
+  RealFs fs;
+  const std::string dir = ScratchDir("no_threads");
+  auto opened = DurableCorrelator::Open(&fs, dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  DurableCorrelator& durable = **opened;
+  EXPECT_LE(ProcessThreads(), before) << "after Open";
+
+  std::mt19937 rng(17);
+  Time t = 0;
+  FeedRandomEvents(&durable, &rng, 300, &t);
+  EXPECT_FALSE(durable.correlator().BuildClusters().clusters.empty());
+  EXPECT_LE(ProcessThreads(), before) << "after BuildClusters";
+  ASSERT_TRUE(durable.Checkpoint().ok());
+  EXPECT_LE(ProcessThreads(), before) << "after Checkpoint";
 }
 
 // --- async checkpointing ----------------------------------------------------

@@ -1,7 +1,7 @@
 // Equivalence tests for the incremental hoard-fill plane: a warm
-// HoardManager (cached cluster aggregates, any thread count) must produce a
-// selection byte-identical to a cold scratch fill after arbitrary
-// touch/delete/rename churn. This is the determinism contract the bench and
+// HoardManager (cached cluster aggregates) must produce a selection
+// byte-identical to a cold scratch fill after arbitrary touch/delete/rename
+// churn. This is the determinism contract the bench and
 // the tenant router rely on.
 #include <algorithm>
 #include <random>
@@ -26,15 +26,13 @@ FileReference Ref(Pid pid, const std::string& path, Time time) {
   return r;
 }
 
-// Pure, thread-safe size oracle (the SizeFn contract).
+// Pure size oracle (the SizeFn contract).
 uint64_t SizeOf(PathId p) {
   return 64 + (static_cast<uint64_t>(p) * 2654435761ull) % 512;
 }
 
 // A correlator populated with `projects` investigator-bound projects, plus
-// seeded random churn (touch / delete / rename) between fills. Project
-// counts are chosen large enough that cold fills cross the serial cutoff
-// and actually dispatch to the pool.
+// seeded random churn (touch / delete / rename) between fills.
 class ChurnHarness {
  public:
   ChurnHarness(uint32_t seed, size_t projects, size_t files_per,
@@ -112,12 +110,11 @@ void ExpectSameSelection(const HoardSelection& want, const HoardSelection& got,
   EXPECT_EQ(want.projects_skipped, got.projects_skipped) << what;
 }
 
-// A cold single-threaded fill: the ground truth each round is compared to.
+// A cold scratch fill: the ground truth each round is compared to.
 HoardSelection ScratchFill(const ChurnHarness& h, const ClusterSet& clusters,
                            uint64_t budget, const std::set<PathId>& always,
                            const std::set<PathId>& pins, bool partial) {
   HoardManager scratch(budget);
-  scratch.set_threads(1);
   scratch.set_incremental_fill(false);
   scratch.set_allow_partial_projects(partial);
   for (const PathId p : pins) {
@@ -131,11 +128,8 @@ TEST(HoardFill, IncrementalMatchesScratchUnderChurn) {
   const uint64_t budget = 130'000;  // ~a third of the expected byte total
   const std::set<PathId> always;
 
-  HoardManager inc1(budget), inc2(budget), inc8(budget);
-  inc1.set_threads(1);
-  inc2.set_threads(2);
-  inc8.set_threads(8);
-  HoardManager* const warm[] = {&inc1, &inc2, &inc8};
+  // `dropped` loses its cache mid-sequence; `inc` stays warm throughout.
+  HoardManager inc(budget), dropped(budget);
 
   for (int round = 0; round < 8; ++round) {
     if (round > 0) {
@@ -144,24 +138,23 @@ TEST(HoardFill, IncrementalMatchesScratchUnderChurn) {
       if (round % 3 == 0) h.RenameRandom(3, round);
     }
     if (round == 4) {
-      // Mid-sequence cold parallel fill: the cache drop must be invisible.
-      inc8.InvalidateFillCache();
+      // Mid-sequence cold fill: the cache drop must be invisible.
+      dropped.InvalidateFillCache();
     }
     const ClusterSet clusters = h.correlator().BuildClusters();
     const HoardSelection want =
         ScratchFill(h, clusters, budget, always, {}, /*partial=*/false);
     ASSERT_FALSE(want.files.empty());
-    for (HoardManager* m : warm) {
-      const HoardSelection got =
-          m->ChooseHoard(h.correlator(), clusters, always, SizeOf);
+    for (HoardManager* m : {&inc, &dropped}) {
+      const HoardSelection got = m->ChooseHoard(h.correlator(), clusters, always, SizeOf);
       ExpectSameSelection(want, got,
-                          "round " + std::to_string(round) + " threads " +
-                              std::to_string(m->threads()));
+                          "round " + std::to_string(round) +
+                              (m == &dropped ? " (cache dropped at round 4)" : ""));
     }
     if (round > 0 && round != 4) {
       // Small churn must hit the cache: a handful of dirty clusters, the
       // rest reused without a member walk.
-      const HoardFillStats& s = inc1.last_fill_stats();
+      const HoardFillStats& s = inc.last_fill_stats();
       EXPECT_TRUE(s.incremental) << "round " << round;
       EXPECT_GT(s.reused_aggregates, s.dirty_clusters) << "round " << round;
       EXPECT_LE(s.dirty_clusters, 64u) << "round " << round;
@@ -176,11 +169,8 @@ TEST(HoardFill, PartialFillAblationMatches) {
   const uint64_t budget = 20'000;
   const std::set<PathId> always;
 
-  HoardManager inc1(budget), inc8(budget);
-  inc1.set_threads(1);
-  inc8.set_threads(8);
-  inc1.set_allow_partial_projects(true);
-  inc8.set_allow_partial_projects(true);
+  HoardManager inc(budget);
+  inc.set_allow_partial_projects(true);
 
   for (int round = 0; round < 6; ++round) {
     if (round > 0) {
@@ -192,12 +182,8 @@ TEST(HoardFill, PartialFillAblationMatches) {
     const HoardSelection want =
         ScratchFill(h, clusters, budget, always, {}, /*partial=*/true);
     ASSERT_GT(want.files.size(), 0u);
-    for (HoardManager* m : {&inc1, &inc8}) {
-      const HoardSelection got =
-          m->ChooseHoard(h.correlator(), clusters, always, SizeOf);
-      ExpectSameSelection(want, got,
-                          "partial round " + std::to_string(round));
-    }
+    const HoardSelection got = inc.ChooseHoard(h.correlator(), clusters, always, SizeOf);
+    ExpectSameSelection(want, got, "partial round " + std::to_string(round));
   }
 }
 
@@ -213,10 +199,9 @@ TEST(HoardFill, PinnedAndAlwaysHoardOverlapMatches) {
   std::set<PathId> always = {P("/eqpin/p0/f0"), P("/eqpin/p5/f2"),
                              P("/eqpin/outside/critical")};
 
-  HoardManager inc2(budget);
-  inc2.set_threads(2);
+  HoardManager inc(budget);
   for (const PathId p : pins) {
-    inc2.Pin(p);
+    inc.Pin(p);
   }
 
   for (int round = 0; round < 5; ++round) {
@@ -228,8 +213,7 @@ TEST(HoardFill, PinnedAndAlwaysHoardOverlapMatches) {
     const ClusterSet clusters = h.correlator().BuildClusters();
     const HoardSelection want =
         ScratchFill(h, clusters, budget, always, pins, /*partial=*/false);
-    const HoardSelection got =
-        inc2.ChooseHoard(h.correlator(), clusters, always, SizeOf);
+    const HoardSelection got = inc.ChooseHoard(h.correlator(), clusters, always, SizeOf);
     ExpectSameSelection(want, got, "pin round " + std::to_string(round));
     for (const PathId p : pins) {
       EXPECT_TRUE(got.Contains(p));
@@ -246,7 +230,6 @@ TEST(HoardFill, DisabledIncrementalAlwaysRewalks) {
   ChurnHarness h(0xABba, /*projects=*/40, /*files_per=*/3, "/eqcold");
   const uint64_t budget = 15'000;
   HoardManager m(budget);
-  m.set_threads(1);
   m.set_incremental_fill(false);
   const std::set<PathId> always;
 

@@ -13,14 +13,14 @@ Two modes:
   gate FILE.json [FILE.json ...]
       Checks the intra-file gates this repo commits to:
         overhead:          slab ns/obs <= legacy ns/obs (hosts with >= 8 CPUs)
-        clustering_scale:  parallel speedup > 1.0 at the largest N
         multitenant:       fleet refs/s at 4 threads >= serial (warn-only)
         service_scale:     wire refs/s at 4 I/O threads >= 2x single-thread;
                            arena decode allocs/frame <= legacy (any host)
-        hoard_fill:        selection identical across modes/threads (any host);
+        hoard_fill:        selection identical across modes (any host);
                            incremental fill <= 0.25x scratch at 1% touch
-                           (any host); fill allocs <= legacy (any host);
-                           parallel scratch fill >= 1.5x serial at 4 threads
+                           (any host); fill allocs <= legacy (any host)
+      clustering_scale has no gate: a build is one serial pass, and its
+      serial column is a trajectory for `diff`.
       Multi-core gates apply ONLY when the producing host had >= 4 CPUs and
       the bench recorded "scaling_valid": true — a 1-CPU runner measures
       oversubscription, not speedup, and must not fail the build for it.
@@ -166,25 +166,6 @@ def gate_overhead(doc, failures):
         print(f"  SKIPPED overhead slab gate: host_cpus={host_cpus} (< 8)")
 
 
-def gate_clustering(doc, failures):
-    host_cpus = doc.get("host_cpus", 1)
-    if host_cpus >= 4 and doc.get("scaling_valid", False):
-        rows = doc.get("rows", [])
-        if rows:
-            top = max(rows, key=lambda r: r.get("files", 0))
-            speedup = top.get("speedup", 0.0)
-            if speedup <= 1.0:
-                failures.append(
-                    f"clustering_scale: parallel speedup {speedup:.2f}x at "
-                    f"N={top.get('files')} — gate requires > 1.0")
-            else:
-                print(f"  PASS clustering speedup: {speedup:.2f}x at "
-                      f"N={top.get('files')}")
-    else:
-        print(f"  SKIPPED clustering scaling gate: host_cpus={host_cpus} "
-              f"(< 4) or scaling_valid={doc.get('scaling_valid')}")
-
-
 def gate_multitenant(doc, failures):
     del failures  # warn-only: fleet scaling has no hard gate yet
     host_cpus = doc.get("host_cpus", 1)
@@ -240,10 +221,9 @@ def gate_hoard_fill(doc, failures):
     if not doc.get("selection_identical", False):
         failures.append(
             "hoard_fill: selections diverged across legacy/scratch/"
-            "incremental/thread-sweep fills — the fill plane must be "
-            "bit-deterministic")
+            "incremental fills — the fill plane must be bit-deterministic")
     else:
-        print("  PASS selection identical across all modes and thread counts")
+        print("  PASS selection identical across all modes")
     ratio = doc.get("incremental_vs_scratch", 1.0)
     if ratio > 0.25:
         failures.append(
@@ -260,28 +240,10 @@ def gate_hoard_fill(doc, failures):
     elif legacy > 0:
         print(f"  PASS fill allocations: {current:.1f}/fill <= legacy "
               f"{legacy:.1f}/fill")
-    # Parallel scratch scaling only means speedup on a wide-enough host.
-    host_cpus = doc.get("host_cpus", 1)
-    if host_cpus >= 4 and doc.get("scaling_valid", False):
-        rows = doc.get("threads", [])
-        serial = sweep_rate(rows, 1, "fills_per_sec")
-        wide = sweep_rate(rows, 4, "fills_per_sec")
-        if serial > 0 and wide < 1.5 * serial:
-            failures.append(
-                f"hoard_fill: scratch fill at 4 threads is "
-                f"{wide / serial:.2f}x serial ({wide:.1f} vs {serial:.1f} "
-                "fills/s), gate requires >= 1.5x")
-        elif serial > 0:
-            print(f"  PASS parallel scratch fill: {wide / serial:.2f}x serial")
-    else:
-        print(f"  SKIPPED hoard_fill scaling gate: host_cpus={host_cpus} "
-              f"(< 4) or scaling_valid={doc.get('scaling_valid')} — "
-              "multi-thread numbers measure oversubscription on this host")
 
 
 GATES = {
     "overhead": gate_overhead,
-    "clustering_scale": gate_clustering,
     "multitenant": gate_multitenant,
     "service_scale": gate_service,
     "hoard_fill": gate_hoard_fill,

@@ -349,7 +349,9 @@ bool SaveDb(const Correlator& correlator, const char* path) {
 }
 
 // Applies `fn` to every event of a trace file, auto-detecting the text or
-// binary format from the magic header.
+// binary format from the magic header. A file that holds only part of the
+// magic is a binary trace cut inside its header, which the binary reader
+// reports like any other torn tail.
 template <typename Fn>
 bool ForEachTraceEvent(const char* path, Fn&& fn, size_t* malformed = nullptr) {
   std::ifstream in(path, std::ios::binary);
@@ -357,10 +359,13 @@ bool ForEachTraceEvent(const char* path, Fn&& fn, size_t* malformed = nullptr) {
     std::fprintf(stderr, "seerctl: cannot open %s\n", path);
     return false;
   }
-  char magic[8] = {};
-  in.read(magic, 8);
+  char magic[kBinaryTraceMagicLen] = {};
+  in.read(magic, kBinaryTraceMagicLen);
+  const auto got = static_cast<size_t>(in.gcount());
+  in.clear();  // a short read sets failbit, which would make seekg a no-op
   in.seekg(0);
-  if (std::string_view(magic, 8) == "SEERBT1\n") {
+  if (got > 0 &&
+      std::string_view(magic, got) == std::string_view(kBinaryTraceMagic, got)) {
     BinaryTraceReader reader(in);
     for (;;) {
       auto event = reader.Next();
@@ -653,13 +658,7 @@ int ClusterStats(int argc, char** argv, int start) {
     std::fprintf(stderr, "seerctl: cluster requires a DB argument\n");
     return 2;
   }
-  auto correlator = LoadDbOrDie(path);
-
-  const int threads = ThreadsFlagOrDie(argc, argv, start);
-  if (threads > 0) {
-    correlator->SetClusterThreads(threads);
-  }
-
+  const auto correlator = LoadDbOrDie(path);
   const ClusterSet clusters = correlator->BuildClusters();
   const ClusterBuildStats& stats = correlator->last_cluster_stats();
   size_t multi = 0;
@@ -668,9 +667,8 @@ int ClusterStats(int argc, char** argv, int start) {
       ++multi;
     }
   }
-  std::printf("%zu clusters (%zu multi-file) from %zu candidates in %.2f ms on %d thread%s\n",
-              clusters.clusters.size(), multi, stats.candidates, stats.build_ms, stats.threads,
-              stats.threads == 1 ? "" : "s");
+  std::printf("%zu clusters (%zu multi-file) from %zu candidates in %.2f ms\n",
+              clusters.clusters.size(), multi, stats.candidates, stats.build_ms);
   if (HasFlag(argc, argv, start, "--stats")) {
     std::printf("  edges scored:   %zu\n", stats.edges_scored);
     const auto pct = [&](double ms) {
@@ -711,8 +709,7 @@ int Hoard(int argc, char** argv, int start) {
               sel.projects_skipped);
   if (HasFlag(argc, argv, start, "--stats")) {
     const HoardFillStats& stats = manager.last_fill_stats();
-    std::printf("# fill: %.2f ms on %d thread%s\n", stats.fill_ms, stats.threads,
-                stats.threads == 1 ? "" : "s");
+    std::printf("# fill: %.2f ms\n", stats.fill_ms);
     std::printf("#   fill mode:      %s\n", stats.incremental ? "incremental" : "scratch");
     std::printf("#   clusters:       %zu\n", stats.clusters);
     std::printf("#   reused aggs:    %zu\n", stats.reused_aggregates);
@@ -1623,17 +1620,14 @@ const std::vector<Subcommand>& Commands() {
        "Dump the project clusters of a saved database file.\n\n"
        "  --min-size N   only clusters with at least N members (default 2)\n",
        Clusters, "--min-size="},
-      {"cluster", "cluster DB [--stats] [--threads K]",
-       "Build project clusters with the parallel engine and print build\n"
-       "statistics.\n\n"
-       "  --stats        also print edges scored and the phase split\n"
-       "  --threads K    scoring threads (default: SEER_THREADS, else all\n"
-       "                 cores); --threads=K is accepted too\n",
-       ClusterStats, "--stats --threads="},
+      {"cluster", "cluster DB [--stats]",
+       "Build project clusters and print build statistics.\n\n"
+       "  --stats        also print edges scored and the phase split\n",
+       ClusterStats, "--stats"},
       {"hoard", "hoard DB --budget-mb MB [--stats]",
        "Compute hoard contents from a saved database file under a space\n"
        "budget. --stats prints the fill-plane breakdown (aggregate cache\n"
-       "hits, phase times, thread count).\n",
+       "hits, phase times).\n",
        Hoard, "--budget-mb= --stats"},
       {"check-config", "check-config FILE",
        "Validate a system control file and echo the parsed configuration.\n", CheckConfig},
